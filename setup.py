@@ -9,7 +9,7 @@ Force a pure build with SMOOTHMAS_PURE_BUILD=1.
 
 import os
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 from setuptools.errors import CCompilerError, ExecError, PlatformError
 
@@ -33,18 +33,20 @@ class OptionalBuildExt(build_ext):
 def extensions():
     if os.environ.get("SMOOTHMAS_PURE_BUILD") == "1":
         return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:  # pragma: no cover
-        return []
-    from setuptools import Extension
-
-    ext = Extension(
-        "smoothmas._kernels._fast",
-        sources=["src/smoothmas/_kernels/_fast.pyx"],
-        extra_compile_args=["-O3"],
-    )
-    return cythonize([ext], language_level=3)
+    return [
+        Extension(
+            "smoothmas._kernels._fast",
+            sources=["src/smoothmas/_kernels/_fast.c"],
+            # lets `build_ext --inplace` skip copying a kernel that failed to build
+            optional=True,
+            # The kernel must round every multiply and add separately, as the
+            # pure-Python reference does. Contraction would fuse them into FMA
+            # instructions on targets that have them (aarch64, x86-64-v3), and
+            # -ffast-math would reorder sums; either breaks bit-identity.
+            # -fno-fast-math also overrides a -ffast-math inherited from CFLAGS.
+            extra_compile_args=["-O3", "-ffp-contract=off", "-fno-fast-math"],
+        )
+    ]
 
 
 setup(

@@ -235,17 +235,22 @@ class Topology:
     def __post_init__(self):
         if self.n < 2:
             raise InvalidTopologyError(f"topology needs at least 2 agents, got {self.n}")
+        senders: list[list[int]] = [[] for _ in range(self.n)]
         for i, j in self.edges:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise InvalidTopologyError(f"edge ({i}, {j}) references unknown agent")
             if i == j:
                 raise InvalidTopologyError(f"self-edge ({i}, {j}) is not allowed")
+            senders[i].append(j)
+        # Derived from `edges`, so it is not a dataclass field and stays out of
+        # equality, hashing and repr.
+        object.__setattr__(self, "_in_neighbors", tuple(tuple(sorted(s)) for s in senders))
 
     def neighbors(self, agent: int) -> tuple[int, ...]:
         """In-neighborhood of `agent`, ascending."""
         if not (0 <= agent < self.n):
             raise InvalidAgentError(f"agent {agent} not in topology of size {self.n}")
-        return tuple(sorted(j for i, j in self.edges if i == agent))
+        return self._in_neighbors[agent]
 
     @property
     def edge_count(self) -> int:

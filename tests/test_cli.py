@@ -4,7 +4,10 @@ import pytest
 
 from smoothmas.cli import formation_slots, main, parse_seeds, trajectory_csv
 from smoothmas.config import ConfigError, parse_config, scenario_config
-from smoothmas.sim import run_scenario
+from smoothmas.certify import certify_decision, uniform_partition
+from smoothmas.core import Purpose, SeedSpec
+from smoothmas.policy import PolicyInput
+from smoothmas.sim import initial_world, run_scenario
 
 TRIPLET_DOC = {
     "schema_version": 1,
@@ -201,6 +204,37 @@ class TestCertifyCommand:
             assert row["hops_from_malicious"] >= 1
             assert 0 < row["residual_perturbation"] <= 0.3
         assert report["tolerance_index"] >= 0
+
+    def test_certifies_round_zero_initial_states(self, tmp_path):
+        # certify runs no scenario: each seed's certificates are for the
+        # round-0 initial states, so rounds, attack and defense do not matter
+        cert_doc = {"n": 200, "k_regions": 4, "agents": [0, 3]}
+        reports = []
+        for rounds in (8, 1):
+            doc = dict(TRIPLET_DOC, rounds=rounds, certification=cert_doc)
+            if rounds == 1:
+                doc.update(scenario="single", attack=None, defense=None)
+            out = tmp_path / f"cert_{rounds}"
+            rc = main(["certify", "--config", _write(tmp_path, doc), "--out", str(out),
+                       "--seeds", "0,4"])
+            assert rc == 0
+            reports.append({seed: json.loads((out / f"seed_{seed}" / "certificates.json")
+                                             .read_text())["per_agent"] for seed in (0, 4)})
+        assert reports[0] == reports[1]
+        cfg = parse_config(dict(TRIPLET_DOC, certification=cert_doc))
+        partition = uniform_partition(cfg.domain, 4)
+        for seed in (0, 4):
+            scenario = scenario_config(cfg, seed=seed)
+            states = initial_world(scenario).states
+            for agent in (0, 3):
+                pin = PolicyInput(states[agent], tuple(
+                    (j, states[j]) for j in scenario.topology.neighbors(agent)))
+                expected = certify_decision(
+                    scenario.policies[agent], pin, partition, cfg.certification.sigma, 200,
+                    cfg.certification.alpha, SeedSpec(seed).branch(0, agent, Purpose.CERTIFY))
+                entry = reports[0][seed][str(agent)]
+                assert (entry["region"], entry["pA_lower"], entry["radius"]) == (
+                    expected.region, expected.pA_lower, expected.radius)
 
     def test_abstaining_agent_gets_half_attenuation(self, tmp_path):
         doc = {

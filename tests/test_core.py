@@ -70,6 +70,15 @@ def test_no_agent_is_its_own_neighbor(factory, n):
         assert list(nbrs) == sorted(set(nbrs))
 
 
+def test_topology_identity_depends_on_edges_only():
+    edges = frozenset({(0, 2), (2, 0), (1, 0)})
+    a, b = Topology(3, edges), Topology(3, frozenset(sorted(edges)))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == f"Topology(n=3, edges={edges!r})"
+    assert a != Topology(3, edges | {(0, 1)})
+    assert [a.neighbors(i) for i in range(3)] == [(2,), (0,), (0,)]
+
+
 @pytest.mark.parametrize("agent", [-1, 5, 100])
 def test_neighbors_rejects_unknown_agent(agent):
     topo = ring_topology(5)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import os
 
-from smoothmas import _kernels
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from smoothmas import _kernels, core
 from smoothmas.core import Domain, InvalidArgumentError, Purpose, SeedSpec, UNIT_DOMAIN
 from smoothmas.policy import (
     AgentPolicy,
@@ -15,8 +19,11 @@ from smoothmas.policy import (
 )
 from smoothmas.smoothing import SmoothingConfig, smoothed_decision_detail
 
+# With SMOOTHMAS_REQUIRE_FAST=1 these tests run even when the kernel is
+# missing, and then fail instead of skipping.
 needs_fast = pytest.mark.skipif(
-    _kernels._fast is None, reason="compiled kernel not available in this build"
+    _kernels._fast is None and os.environ.get("SMOOTHMAS_REQUIRE_FAST") != "1",
+    reason="compiled kernel not available in this build",
 )
 
 
@@ -124,6 +131,32 @@ def test_both_backends_reject_dimension_mismatch_identically(restore_backend):
             smoothed_decision_detail(policy, inp, cfg, branch)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+BOUNDARY_WORDS = (0, 1, 1 << 63, core.MASK64, core._GAMMA)
+U64 = st.integers(min_value=0, max_value=core.MASK64)
+
+
+def _assert_twins_match(a, b):
+    fast = _kernels._fast
+    assert fast is not None, "compiled kernel not available in this build"
+    assert fast.mix64(a) == core.mix64(a)
+    assert fast.fold(a, b) == core.fold(a, b)
+    assert fast.word_at(a, b) == core.word_at(a, b)
+    assert fast.uniform_at(a, b) == core.uniform_at(a, b)
+
+
+@needs_fast
+def test_stream_twins_match_core_on_boundary_words():
+    for a in BOUNDARY_WORDS:
+        for b in BOUNDARY_WORDS:
+            _assert_twins_match(a, b)
+
+
+@needs_fast
+@given(U64, U64)
+def test_stream_twins_match_core(a, b):
+    _assert_twins_match(a, b)
 
 
 def test_invalid_backend_name_rejected():

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from smoothmas.adversary import AttackConfig, CONSTANT_BIAS
@@ -201,7 +203,8 @@ class TestScheduleInvariance:
         assert plain == threaded
 
     def test_backends_agree(self):
-        if _kernels.fast() is None:
+        # SMOOTHMAS_REQUIRE_FAST=1 turns a missing kernel into a failure
+        if _kernels._fast is None and os.environ.get("SMOOTHMAS_REQUIRE_FAST") != "1":
             pytest.skip("compiled kernels not built")
         cfg = _attacked(5, {1}, rounds=4, defense=DEFENSE, seed=31)
         try:
