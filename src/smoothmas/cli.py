@@ -20,7 +20,7 @@ import statistics
 import sys
 from collections import deque
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .certify import (
     attenuation_factor,
@@ -93,9 +93,14 @@ def parse_seeds(text: Optional[str], master_seed: int) -> list[int]:
         return [master_seed]
     if "," in text:
         try:
-            return [int(p) for p in text.split(",") if p.strip() != ""]
+            seeds = [int(p) for p in text.split(",") if p.strip() != ""]
         except ValueError:
             raise ConfigError(f"--seeds list has a non-integer entry: {text!r}")
+        if not seeds:
+            raise ConfigError(f"--seeds list has no entries: {text!r}")
+        if len(set(seeds)) != len(seeds):
+            raise ConfigError(f"--seeds list repeats a seed: {text!r}")
+        return seeds
     try:
         count = int(text)
     except ValueError:
@@ -147,6 +152,10 @@ def _legs_for_seed(
     return _single_legs(cfg, seed, defense_mode, gateway)
 
 
+def _normal_agents(cfg: ExperimentConfig) -> list[int]:
+    return sorted(set(range(cfg.n)) - (cfg.attack.malicious if cfg.attack else set()))
+
+
 def _aggregate(values: list[float]) -> dict:
     out = {"mean": statistics.fmean(values)}
     out["sd"] = statistics.stdev(values) if len(values) > 1 else None
@@ -157,7 +166,7 @@ def _run_metrics(cfg: ExperimentConfig, legs: dict[str, Trajectory]) -> Optional
     """Per-seed deviation block; needs the baseline plus one attack leg."""
     if BASELINE not in legs:
         return None
-    normal = sorted(set(range(cfg.n)) - (cfg.attack.malicious if cfg.attack else set()))
+    normal = _normal_agents(cfg)
     base_final = legs[BASELINE].final_states
     block: dict = {}
     for leg in (NO_DEFENSE, WITH_DEFENSE):
@@ -176,80 +185,99 @@ def _run_metrics(cfg: ExperimentConfig, legs: dict[str, Trajectory]) -> Optional
     return block or None
 
 
-def _write_leg_outputs(
-    seed_dir: Path, name: str, cfg: ScenarioConfig, traj: Trajectory, top_view: bool
-) -> dict:
-    (seed_dir / f"{name}.csv").write_text(trajectory_csv(traj), encoding="utf-8")
-    malicious = cfg.malicious
-    title = f"{name} (seed {cfg.master_seed})"
-    if top_view:
-        svg = top_view_chart(traj.states, malicious, title)
-    else:
-        svg = trajectory_chart(traj.states, malicious, title)
-    (seed_dir / f"{name}.svg").write_text(svg, encoding="utf-8")
-    return {
-        "final_states": [list(s) for s in traj.final_states],
-        "consensus_error_per_round": [consensus_error(row) for row in traj.states],
-        "total_queries": sum(q for row in traj.queries for q in row),
-        "total_verify_queries": sum(v for row in traj.verify_queries for v in row),
-        "attack_fired_rounds": sum(1 for row in traj.attack_fired if any(row)),
-    }
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def _drive(
+    args: argparse.Namespace,
+    cfg: ExperimentConfig,
+    header: dict,
+    chart: Callable[[str, ScenarioConfig, Trajectory], str],
+    seed_block: Callable[[dict[str, Trajectory]], dict],
+    aggregate: Callable[[list[dict]], Optional[dict]],
+    noun: str,
+) -> int:
+    """Run every leg of every seed, writing one CSV and one chart per leg and
+    summary.json at the end; a failed policy evaluation or sampling stops the
+    run, which is then marked incomplete and exits 3."""
     gateway = _gateway(cfg, args.live_llm)
     seeds = parse_seeds(args.seeds, cfg.master_seed)
     out = _prepare_outdir(args.out, args.force)
     summary: dict = {
+        **header,
         "config": serialize_config(cfg),
         "seeds": seeds,
         "per_seed": {},
         "incomplete": False,
     }
-    nodef_avgs: list[float] = []
-    withdef_avgs: list[float] = []
-    wins = 0
     try:
         for seed in seeds:
             legs = _legs_for_seed(cfg, seed, args.defense, gateway)
             seed_dir = out / f"seed_{seed}"
             seed_dir.mkdir(exist_ok=True)
             trajectories: dict[str, Trajectory] = {}
-            seed_block: dict = {}
             for name, scenario in legs.items():
-                traj = run_scenario(scenario, parallel=args.parallel)
+                traj = run_scenario(scenario)
                 trajectories[name] = traj
-                seed_block[name] = _write_leg_outputs(
-                    seed_dir, name, scenario, traj, top_view=False
+                (seed_dir / f"{name}.csv").write_text(trajectory_csv(traj), encoding="utf-8")
+                (seed_dir / f"{name}.svg").write_text(
+                    chart(name, scenario, traj), encoding="utf-8"
                 )
-            metrics = _run_metrics(cfg, trajectories)
-            if metrics is not None:
-                seed_block["metrics"] = metrics
-                if NO_DEFENSE in metrics and WITH_DEFENSE in metrics:
-                    nodef_avgs.append(metrics[NO_DEFENSE]["avg_normal_deviation"])
-                    withdef_avgs.append(metrics[WITH_DEFENSE]["avg_normal_deviation"])
-                    wins += bool(metrics["defense_wins"])
-            summary["per_seed"][str(seed)] = seed_block
+            summary["per_seed"][str(seed)] = seed_block(trajectories)
     except (PolicyUnavailableError, SamplingFailedError) as exc:
         summary["incomplete"] = True
         summary["error"] = str(exc)
         _write_summary(out, summary)
         print(f"error: run incomplete: {exc}", file=sys.stderr)
         return 3
-    if nodef_avgs and withdef_avgs:
-        summary["aggregate"] = {
-            "no_defense_avg_normal_deviation": _aggregate(nodef_avgs),
-            "with_defense_avg_normal_deviation": _aggregate(withdef_avgs),
-            "improvement_pct": improvement_pct(
-                statistics.fmean(nodef_avgs), statistics.fmean(withdef_avgs)
-            ),
-            "defense_wins": wins,
-            "seed_count": len(seeds),
-        }
+    totals = aggregate(list(summary["per_seed"].values()))
+    if totals is not None:
+        summary["aggregate"] = totals
     _write_summary(out, summary)
-    print(f"wrote {len(seeds)} seed run(s) to {out}")
+    print(f"wrote {len(seeds)} {noun} to {out}")
     return 0
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
+
+    def chart(name: str, scenario: ScenarioConfig, traj: Trajectory) -> str:
+        title = f"{name} (seed {scenario.master_seed})"
+        return trajectory_chart(traj.states, scenario.malicious, title)
+
+    def seed_block(legs: dict[str, Trajectory]) -> dict:
+        block: dict = {
+            name: {
+                "final_states": [list(s) for s in traj.final_states],
+                "consensus_error_per_round": [consensus_error(row) for row in traj.states],
+                "total_queries": sum(q for row in traj.queries for q in row),
+                "total_verify_queries": sum(v for row in traj.verify_queries for v in row),
+                "attack_fired_rounds": sum(1 for row in traj.attack_fired if any(row)),
+            }
+            for name, traj in legs.items()
+        }
+        metrics = _run_metrics(cfg, legs)
+        if metrics is not None:
+            block["metrics"] = metrics
+        return block
+
+    def aggregate(blocks: list[dict]) -> Optional[dict]:
+        compared = [
+            b["metrics"] for b in blocks
+            if "defense_wins" in b.get("metrics", {})
+        ]
+        if not compared:
+            return None
+        nodef = [m[NO_DEFENSE]["avg_normal_deviation"] for m in compared]
+        withdef = [m[WITH_DEFENSE]["avg_normal_deviation"] for m in compared]
+        return {
+            "no_defense_avg_normal_deviation": _aggregate(nodef),
+            "with_defense_avg_normal_deviation": _aggregate(withdef),
+            "improvement_pct": improvement_pct(
+                statistics.fmean(nodef), statistics.fmean(withdef)
+            ),
+            "defense_wins": sum(bool(m["defense_wins"]) for m in compared),
+            "seed_count": len(blocks),
+        }
+
+    return _drive(args, cfg, {}, chart, seed_block, aggregate, "seed run(s)")
 
 
 def _write_summary(out: Path, summary: dict) -> None:
@@ -264,14 +292,9 @@ def _shortest_hops(cfg: ScenarioConfig) -> dict[int, Optional[list[int]]]:
     sources = sorted(cfg.malicious)
     parent: dict[int, Optional[int]] = {s: None for s in sources}
     queue = deque(sources)
-    out_edges: dict[int, list[int]] = {i: [] for i in range(cfg.n)}
-    for receiver, sender in cfg.topology.edges:
-        out_edges[sender].append(receiver)
-    for lst in out_edges.values():
-        lst.sort()
     while queue:
         node = queue.popleft()
-        for nxt in out_edges[node]:
+        for nxt in cfg.topology.receivers(node):
             if nxt not in parent:
                 parent[nxt] = node
                 queue.append(nxt)
@@ -396,75 +419,42 @@ def cmd_formation(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if cfg.dimension != 3:
         raise ConfigError("formation needs a three-dimensional state space")
-    gateway = _gateway(cfg, args.live_llm)
-    seeds = parse_seeds(args.seeds, cfg.master_seed)
-    out = _prepare_outdir(args.out, args.force)
     slots = formation_slots(cfg.n, cfg.formation.slot_radius)
-    diagonal = math.sqrt(
-        sum((hi - lo) ** 2 for lo, hi in zip(cfg.domain.low, cfg.domain.high))
-    )
+    diagonal = cfg.domain.diagonal()
     limit = 0.01 * diagonal
-    summary: dict = {
-        "config": serialize_config(cfg),
-        "seeds": seeds,
-        "slot_error_limit": limit,
-        "airspace_diagonal": diagonal,
-        "per_seed": {},
-        "incomplete": False,
-    }
-    wins = 0
-    comparisons = 0
-    try:
-        for seed in seeds:
-            legs = _legs_for_seed(cfg, seed, args.defense, gateway)
-            seed_dir = out / f"seed_{seed}"
-            seed_dir.mkdir(exist_ok=True)
-            normal = sorted(
-                set(range(cfg.n)) - (cfg.attack.malicious if cfg.attack else set())
+    normal = _normal_agents(cfg)
+
+    def chart(name: str, scenario: ScenarioConfig, traj: Trajectory) -> str:
+        title = f"{name} top view (seed {scenario.master_seed})"
+        return top_view_chart(traj.states, scenario.malicious, title, offsets=slots)
+
+    def seed_block(legs: dict[str, Trajectory]) -> dict:
+        block: dict = {}
+        for name, traj in legs.items():
+            errors = _slot_errors(traj.final_states, normal)
+            normal_errors = [errors[i] for i in normal]
+            block[name] = {
+                "slot_errors": errors,
+                "mean_normal_slot_error": statistics.fmean(normal_errors),
+                "max_normal_slot_error": max(normal_errors),
+            }
+        if BASELINE in block:
+            block[BASELINE]["converged"] = block[BASELINE]["max_normal_slot_error"] < limit
+        if NO_DEFENSE in block and WITH_DEFENSE in block:
+            block["defense_improves"] = (
+                block[WITH_DEFENSE]["mean_normal_slot_error"]
+                < block[NO_DEFENSE]["mean_normal_slot_error"]
             )
-            seed_block: dict = {}
-            means: dict[str, float] = {}
-            for name, scenario in legs.items():
-                traj = run_scenario(scenario, parallel=args.parallel)
-                (seed_dir / f"{name}.csv").write_text(
-                    trajectory_csv(traj), encoding="utf-8"
-                )
-                svg = top_view_chart(
-                    traj.states,
-                    scenario.malicious,
-                    f"{name} top view (seed {seed})",
-                    offsets=slots,
-                )
-                (seed_dir / f"{name}.svg").write_text(svg, encoding="utf-8")
-                errors = _slot_errors(traj.final_states, normal)
-                normal_errors = [errors[i] for i in normal]
-                means[name] = statistics.fmean(normal_errors)
-                seed_block[name] = {
-                    "slot_errors": errors,
-                    "mean_normal_slot_error": means[name],
-                    "max_normal_slot_error": max(normal_errors),
-                }
-            if BASELINE in seed_block:
-                seed_block[BASELINE]["converged"] = (
-                    seed_block[BASELINE]["max_normal_slot_error"] < limit
-                )
-            if NO_DEFENSE in means and WITH_DEFENSE in means:
-                improved = means[WITH_DEFENSE] < means[NO_DEFENSE]
-                seed_block["defense_improves"] = improved
-                comparisons += 1
-                wins += bool(improved)
-            summary["per_seed"][str(seed)] = seed_block
-    except (PolicyUnavailableError, SamplingFailedError) as exc:
-        summary["incomplete"] = True
-        summary["error"] = str(exc)
-        _write_summary(out, summary)
-        print(f"error: run incomplete: {exc}", file=sys.stderr)
-        return 3
-    if comparisons:
-        summary["aggregate"] = {"defense_wins": wins, "comparisons": comparisons}
-    _write_summary(out, summary)
-    print(f"wrote {len(seeds)} formation run(s) to {out}")
-    return 0
+        return block
+
+    def aggregate(blocks: list[dict]) -> Optional[dict]:
+        compared = [b["defense_improves"] for b in blocks if "defense_improves" in b]
+        if not compared:
+            return None
+        return {"defense_wins": sum(compared), "comparisons": len(compared)}
+
+    header = {"slot_error_limit": limit, "airspace_diagonal": diagonal}
+    return _drive(args, cfg, header, chart, seed_block, aggregate, "formation run(s)")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -492,8 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
         if scenario_flags:
             p.add_argument("--defense", choices=("on", "off", "both"), default="both",
                            help="which defense legs to run")
-            p.add_argument("--parallel", action="store_true",
-                           help="evaluate agents on a thread pool")
 
     common(sub.add_parser("run", help="run consensus scenarios"))
     common(sub.add_parser("certify", help="write per-agent certificates"),

@@ -3,8 +3,8 @@
 Randomness is counter-based. Every draw is addressed by a key derived from
 (master_seed, round, agent, purpose, index), so re-deriving a stream for the
 same path yields the same values no matter when or in which order the caller
-evaluates it. That is what makes snapshot re-evaluation and parallel agent
-evaluation bit-reproducible.
+evaluates it. That is what makes snapshot re-evaluation bit-reproducible in
+any evaluation order, and from concurrent callers.
 
 The integer mixing here is mirrored verbatim in the compiled kernel
 (`smoothmas._kernels._fast`); change one and you must change both.
@@ -236,21 +236,30 @@ class Topology:
         if self.n < 2:
             raise InvalidTopologyError(f"topology needs at least 2 agents, got {self.n}")
         senders: list[list[int]] = [[] for _ in range(self.n)]
+        receivers: list[list[int]] = [[] for _ in range(self.n)]
         for i, j in self.edges:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise InvalidTopologyError(f"edge ({i}, {j}) references unknown agent")
             if i == j:
                 raise InvalidTopologyError(f"self-edge ({i}, {j}) is not allowed")
             senders[i].append(j)
-        # Derived from `edges`, so it is not a dataclass field and stays out of
+            receivers[j].append(i)
+        # Derived from `edges`, so they are not dataclass fields and stay out of
         # equality, hashing and repr.
         object.__setattr__(self, "_in_neighbors", tuple(tuple(sorted(s)) for s in senders))
+        object.__setattr__(self, "_out_neighbors", tuple(tuple(sorted(r)) for r in receivers))
 
     def neighbors(self, agent: int) -> tuple[int, ...]:
-        """In-neighborhood of `agent`, ascending."""
+        """In-neighborhood of `agent` (the agents it hears from), ascending."""
         if not (0 <= agent < self.n):
             raise InvalidAgentError(f"agent {agent} not in topology of size {self.n}")
         return self._in_neighbors[agent]
+
+    def receivers(self, agent: int) -> tuple[int, ...]:
+        """Out-neighborhood of `agent` (the agents that hear from it), ascending."""
+        if not (0 <= agent < self.n):
+            raise InvalidAgentError(f"agent {agent} not in topology of size {self.n}")
+        return self._out_neighbors[agent]
 
     @property
     def edge_count(self) -> int:

@@ -2,8 +2,8 @@
 
 Updates are synchronous: every agent's round-t+1 state is computed from the
 round-t snapshot only, then committed in one barrier. All randomness is drawn
-from streams derived by (round, agent, purpose), so evaluation order and
-threading cannot change a trajectory.
+from streams derived by (round, agent, purpose), so a trajectory is the same
+in any evaluation order, and from concurrent callers.
 
 Per round, three phases over the snapshot:
 
@@ -23,7 +23,6 @@ Per round, three phases over the snapshot:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -155,21 +154,11 @@ def initial_world(cfg: ScenarioConfig) -> WorldState:
     return WorldState(0, states)
 
 
-def _receivers_by_sender(topology: Topology) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {j: [] for j in range(topology.n)}
-    for receiver, sender in topology.edges:
-        out[sender].append(receiver)
-    for receivers in out.values():
-        receivers.sort()
-    return out
-
-
 def step_detail(
     cfg: ScenarioConfig,
     world: WorldState,
     round_index: int,
     eval_order: Optional[Sequence[int]] = None,
-    executor: Optional[ThreadPoolExecutor] = None,
 ) -> tuple[WorldState, tuple[int, ...], tuple[bool, ...], tuple[int, ...]]:
     """One synchronous round; returns the new world plus step bookkeeping."""
     _require(
@@ -186,9 +175,9 @@ def step_detail(
     # phase 1: every edge's wire report, one stream per (round, sender, edge)
     reports: dict[tuple[int, int], StateVec] = {}
     fired = [False] * n
-    for sender, receivers in _receivers_by_sender(topology).items():
+    for sender in range(n):
         branch = seed.branch(round_index, sender, Purpose.TRANSMIT)
-        for receiver in receivers:
+        for receiver in topology.receivers(sender):
             value, did_fire = transmit_detail(
                 cfg.attack, sender, snapshot[sender], round_index,
                 branch.stream(receiver), cfg.domain,
@@ -259,14 +248,7 @@ def step_detail(
         sorted(order) == list(range(n)),
         "eval_order must be a permutation of all agents",
     )
-    results: dict[int, tuple[StateVec, int]] = {}
-    if executor is not None:
-        futures = [(i, executor.submit(decide, i)) for i in order]
-        for i, future in futures:
-            results[i] = future.result()
-    else:
-        for i in order:
-            results[i] = decide(i)
+    results = {i: decide(i) for i in order}
 
     new_world = WorldState(round_index + 1, tuple(results[i][0] for i in range(n)))
     queries = tuple(results[i][1] for i in range(n))
@@ -279,34 +261,24 @@ def step(cfg: ScenarioConfig, world: WorldState, round_index: int) -> WorldState
 
 
 def run_scenario(
-    cfg: ScenarioConfig,
-    parallel: bool = False,
-    eval_order: Optional[Sequence[int]] = None,
+    cfg: ScenarioConfig, eval_order: Optional[Sequence[int]] = None
 ) -> Trajectory:
     """Apply step rounds times, recording states and bookkeeping.
 
-    parallel fans agent decisions out over a thread pool; eval_order permutes
-    the sequential evaluation order. Neither can change the result, only the
-    schedule.
+    eval_order permutes the order in which agents decide. The result is the
+    same in any evaluation order, and from concurrent callers.
     """
     world = initial_world(cfg)
     states = [world.states]
     queries: list[tuple[int, ...]] = []
     fired: list[tuple[bool, ...]] = []
     verify_queries: list[tuple[int, ...]] = []
-    executor = ThreadPoolExecutor(max_workers=min(cfg.n, 8)) if parallel else None
-    try:
-        for t in range(cfg.rounds):
-            world, q, f, v = step_detail(
-                cfg, world, t, eval_order=eval_order, executor=executor
-            )
-            states.append(world.states)
-            queries.append(q)
-            fired.append(f)
-            verify_queries.append(v)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for t in range(cfg.rounds):
+        world, q, f, v = step_detail(cfg, world, t, eval_order=eval_order)
+        states.append(world.states)
+        queries.append(q)
+        fired.append(f)
+        verify_queries.append(v)
     return Trajectory(
         states=tuple(states),
         queries=tuple(queries),

@@ -13,6 +13,7 @@ import random as _random
 import statistics
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -314,7 +315,7 @@ def test_criterion_08_defense_efficacy_under_constant_bias(capsys):
 
 
 def test_criterion_09_reruns_are_byte_identical(capsys):
-    with criterion(9, "trajectory CSVs identical across rerun, parallel, reversed order", capsys):
+    with criterion(9, "trajectory CSVs identical across rerun, concurrent callers, reversed order", capsys):
         start = time.monotonic()
         n = 8
         attack = AttackConfig(malicious=frozenset({5}), p_attack=0.7, delta_max=0.3)
@@ -333,12 +334,13 @@ def test_criterion_09_reruns_are_byte_identical(capsys):
         )
         plain = trajectory_csv(run_scenario(cfg))
         rerun = trajectory_csv(run_scenario(cfg))
-        parallel = trajectory_csv(run_scenario(cfg, parallel=True))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            concurrent = [trajectory_csv(t) for t in pool.map(run_scenario, [cfg, cfg])]
         reversed_order = trajectory_csv(
             run_scenario(cfg, eval_order=tuple(reversed(range(n))))
         )
         assert plain == rerun
-        assert plain == parallel
+        assert concurrent == [plain, plain]
         assert plain == reversed_order
         assert time.monotonic() - start < 30.0
 

@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -68,11 +69,13 @@ class TestTrajectoryCsv:
     def test_schedule_does_not_change_bytes(self):
         cfg = scenario_config(parse_config(TRIPLET_DOC), seed=5)
         plain = trajectory_csv(run_scenario(cfg))
-        threaded = trajectory_csv(run_scenario(cfg, parallel=True))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            concurrent = [trajectory_csv(t) for t in pool.map(run_scenario, [cfg, cfg])]
         backwards = trajectory_csv(
             run_scenario(cfg, eval_order=tuple(reversed(range(cfg.n))))
         )
-        assert plain == threaded == backwards
+        assert concurrent == [plain, plain]
+        assert plain == backwards
 
 
 class TestSeedsFlag:
@@ -92,6 +95,10 @@ class TestSeedsFlag:
             parse_seeds("0", master_seed=0)
         with pytest.raises(ConfigError):
             parse_seeds("1,x", master_seed=0)
+        with pytest.raises(ConfigError):
+            parse_seeds("3,3", master_seed=0)
+        with pytest.raises(ConfigError):
+            parse_seeds(",", master_seed=0)
 
 
 class TestRunCommand:
@@ -121,11 +128,22 @@ class TestRunCommand:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         argv = ["run", "--config", triplet_config_path, "--seeds", "1"]
         assert main(argv + ["--out", str(out1)]) == 0
-        assert main(argv + ["--out", str(out2), "--parallel"]) == 0
+        assert main(argv + ["--out", str(out2)]) == 0
         for leg in ("baseline", "no_defense", "with_defense"):
             a = (out1 / "seed_0" / f"{leg}.csv").read_bytes()
             b = (out2 / "seed_0" / f"{leg}.csv").read_bytes()
             assert a == b
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "c"), "--parallel"])
+        assert exc.value.code == 2
+
+    def test_duplicate_seeds_leave_outdir_untouched(self, triplet_config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "--config", triplet_config_path, "--out", str(out),
+                   "--seeds", "3,3"])
+        assert rc == 1
+        assert "repeats" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_scenario_has_no_improvement_metric(self, tmp_path, capsys):
         doc = {"schema_version": 1, "scenario": "single", "rounds": 5}
@@ -277,6 +295,20 @@ class TestFormationCommand:
             assert "defense_improves" in block
         assert (out / "seed_0" / "with_defense.svg").exists()
         assert summary["aggregate"]["comparisons"] == 2
+
+    def test_live_llm_without_key_flags_incomplete(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("LLM_API_KEY", raising=False)
+        doc = dict(FORMATION_DOC)
+        doc["policy"] = {"kind": "external-llm"}
+        doc["llm"] = {"base_url": "http://llm.test", "model": "m", "max_retries": 0}
+        cfg = _write(tmp_path, doc)
+        out = tmp_path / "out"
+        rc = main(["formation", "--config", cfg, "--out", str(out), "--live-llm"])
+        assert rc == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["incomplete"]
+        assert "LLM_API_KEY" in summary["error"]
+        assert "LLM_API_KEY" in capsys.readouterr().err
 
     def test_rejects_one_dimensional_config(self, triplet_config_path, tmp_path, capsys):
         rc = main(["formation", "--config", triplet_config_path,

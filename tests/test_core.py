@@ -77,6 +77,29 @@ def test_topology_identity_depends_on_edges_only():
     assert repr(a) == f"Topology(n=3, edges={edges!r})"
     assert a != Topology(3, edges | {(0, 1)})
     assert [a.neighbors(i) for i in range(3)] == [(2,), (0,), (0,)]
+    assert [a.receivers(i) for i in range(3)] == [(1, 2), (), (0,)]
+    # the cached adjacency stays out of identity: a topology that differs only
+    # in its caches is still equal to, and hashes and prints like, the original
+    c = Topology(3, edges)
+    object.__setattr__(c, "_out_neighbors", ((), (), ()))
+    object.__setattr__(c, "_in_neighbors", ((), (), ()))
+    assert c == a and hash(c) == hash(a) and repr(c) == repr(a)
+
+
+@pytest.mark.parametrize(
+    "topo",
+    [
+        ring_topology(7),
+        full_topology(5),
+        Topology(5, frozenset({(0, 1), (0, 4), (2, 1), (3, 0), (4, 0), (4, 3)})),
+    ],
+    ids=["ring", "full", "irregular"],
+)
+def test_receivers_are_the_transpose_of_neighbors(topo):
+    for j in range(topo.n):
+        expected = tuple(i for i in range(topo.n) if j in topo.neighbors(i))
+        assert topo.receivers(j) == expected
+    assert sum(len(topo.receivers(j)) for j in range(topo.n)) == topo.edge_count
 
 
 @pytest.mark.parametrize("agent", [-1, 5, 100])
@@ -84,6 +107,8 @@ def test_neighbors_rejects_unknown_agent(agent):
     topo = ring_topology(5)
     with pytest.raises(InvalidAgentError):
         topo.neighbors(agent)
+    with pytest.raises(InvalidAgentError):
+        topo.receivers(agent)
 
 
 def test_topology_rejects_edges_to_unknown_agents():

@@ -1,4 +1,5 @@
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -198,9 +199,10 @@ class TestScheduleInvariance:
         cfg = _attacked(6, {2}, rounds=5, defense=DEFENSE, seed=23)
         plain = run_scenario(cfg)
         reversed_order = run_scenario(cfg, eval_order=tuple(reversed(range(6))))
-        threaded = run_scenario(cfg, parallel=True)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            concurrent = list(pool.map(run_scenario, [cfg, cfg]))
         assert plain == reversed_order
-        assert plain == threaded
+        assert concurrent == [plain, plain]
 
     def test_backends_agree(self):
         # SMOOTHMAS_REQUIRE_FAST=1 turns a missing kernel into a failure
