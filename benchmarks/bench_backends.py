@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Compare the compiled smoothing kernel against the pure-Python fallback.
 
-Times smoothed_decision on representative policy/config combinations and a
-full defended ring scenario, once per backend, and checks that both backends
-produce bit-identical results while doing so.
+Times smoothed_decision on representative policy/config combinations, a
+2000-sample certificate and a full defended ring scenario, once per backend,
+and checks that both backends produce bit-identical results (certificates
+included) while doing so.
 
 Usage:
     python3 benchmarks/bench_backends.py [--repeats N] [--number N]
@@ -18,7 +19,8 @@ import time
 
 from smoothmas import _kernels
 from smoothmas.adversary import AttackConfig
-from smoothmas.core import Purpose, SeedSpec, box_domain, ring_topology
+from smoothmas.certify import certify_decision, uniform_partition
+from smoothmas.core import UNIT_DOMAIN, Purpose, SeedSpec, box_domain, ring_topology
 from smoothmas.policy import AgentPolicy, HallucinationConfig, PolicyInput, llm_mimic
 from smoothmas.sim import DefenseConfig, ScenarioConfig, run_scenario
 from smoothmas.smoothing import SmoothingConfig, smoothed_decision
@@ -54,6 +56,19 @@ def _decision_cases():
         rng = spec.branch(0, idx, Purpose.DECIDE)
         out.append((label, lambda p=policy, i=inp, c=conf, r=rng: smoothed_decision(p, i, c, r)))
     return out
+
+
+def _certificate_case():
+    policy = AgentPolicy(
+        llm_mimic(0.05, 1.0 / 3.0),
+        halluc=HallucinationConfig(p_h=0.05, mode="uniform-random"),
+    )
+    inp = PolicyInput((0.4,), ((1, (0.6,)), (2, (0.5,))))
+    partition = uniform_partition(UNIT_DOMAIN, 10)
+    rng = SeedSpec(20240817).branch(0, 0, Purpose.CERTIFY)
+    return "certificate 1-D n=2000", lambda: certify_decision(
+        policy, inp, partition, 0.05, 2000, 0.01, rng
+    )
 
 
 def _scenario_case():
@@ -101,7 +116,7 @@ def main(argv=None) -> int:
             print("compiled kernel not available; nothing to compare", file=sys.stderr)
             return 1
 
-    cases = _decision_cases() + [_scenario_case()]
+    cases = _decision_cases() + [_certificate_case(), _scenario_case()]
     rows = []
     mismatches = 0
     for label, fn in cases:

@@ -1,11 +1,17 @@
 /*
- * Fused smoothed-decision kernel for scripted policies.
+ * Sampling kernel for scripted policies.
  *
- * Mirrors, operation for operation, the pure path: core.Stream draws,
- * policy.evaluate_policy / policy.hallucinate_wrap arithmetic, and the
- * smoothing.smoothed_decision_detail loop. Outputs are bit-identical to the
- * Python implementation; the parity tests enforce that. Any change here must
- * be made in the Python reference as well.
+ * Two entries share one query layout (see read_query):
+ *   scripted_decision  the fused two-stage smoothed decision, mirroring
+ *                      smoothing.smoothed_decision_detail;
+ *   sample_outputs     m perturbed policy outputs from stream index
+ *                      start_index on, mirroring smoothing.sample_policy
+ *                      (certification draws its samples here).
+ *
+ * Both mirror, operation for operation, the pure path: core.Stream draws and
+ * policy.evaluate_policy / policy.hallucinate_wrap arithmetic. Outputs are
+ * bit-identical to the Python implementation; the parity tests enforce that.
+ * Any change here must be made in the Python reference as well.
  *
  * Bit-identity also depends on the compiler rounding every multiply and add
  * separately, as Python does: build with -ffp-contract=off and never with
@@ -151,14 +157,15 @@ static void eval_sample(const Query *q, CStream *stream, double *out, double *sc
     }
 }
 
-static void sample_range(const Query *q, u64 prefix, int first, int stop, double *samples,
+/* Samples start .. start + count - 1 of the branch `prefix` into samples[0 .. count). */
+static void sample_range(const Query *q, u64 prefix, u64 start, size_t count, double *samples,
                          double *scratch)
 {
     CStream stream;
-    for (int s = first; s < stop; s++) {
-        stream.key = c_fold(prefix, (u64)s);
+    for (size_t s = 0; s < count; s++) {
+        stream.key = c_fold(prefix, start + (u64)s);
         stream.cursor = 0;
-        eval_sample(q, &stream, samples + (size_t)s * q->d, scratch);
+        eval_sample(q, &stream, samples + s * (size_t)q->d, scratch);
     }
 }
 
@@ -178,7 +185,7 @@ static int smoothed(const Query *q, u64 prefix, int m1, double cc, double tau, i
     int c, s, m2;
 
     /* stage 1: probe */
-    sample_range(q, prefix, 0, m1, samples, scratch);
+    sample_range(q, prefix, 0, (size_t)m1, samples, scratch);
 
     /* probe variance, biased 1/m1 normalization */
     for (c = 0; c < d; c++) {
@@ -204,7 +211,7 @@ static int smoothed(const Query *q, u64 prefix, int m1, double cc, double tau, i
         double ratio = (cc * v) / tau;
         m2 = ratio < (double)m_max ? (int)ceil(ratio) : m_max;
     }
-    sample_range(q, prefix, m1, m1 + m2, samples, scratch);
+    sample_range(q, prefix, (u64)m1, (size_t)m2, samples + (size_t)m1 * d, scratch);
 
     /* component-wise trimmed mean */
     const int m = m1 + m2;
@@ -297,52 +304,80 @@ static PyObject *py_uniform_at(PyObject *self, PyObject *args)
     return PyFloat_FromDouble(c_uniform_at(key, i));
 }
 
-static PyObject *py_scripted_decision(PyObject *self, PyObject *args, PyObject *kwargs)
+/* Parse a query tuple
+ *   (own, nbrs_flat, k, d, w, mimic, jitter_sd, p_h, mode, magnitude, target, lo, hi, sigma)
+ * into q. Its vectors are copied into one block, returned for PyMem_Free, so q
+ * stays valid with the GIL released. NULL with an exception set on failure. */
+static double *read_query(PyObject *tuple, Query *q)
 {
-    static char *kwlist[] = {"own_list", "nbrs_flat", "k", "d", "w", "mimic", "jitter_sd",
-                             "p_h", "mode", "magnitude", "target_list", "lo_list", "hi_list",
-                             "sigma", "m1", "cc", "tau", "m_max", "trim_frac", "prefix", NULL};
-    PyObject *own_obj, *nbrs_obj, *target_obj, *lo_obj, *hi_obj, *prefix_obj;
+    PyObject *own_obj, *nbrs_obj, *target_obj, *lo_obj, *hi_obj;
+
+    if (!PyArg_ParseTuple(tuple, "OOiididdidOOOd:query", &own_obj, &nbrs_obj,
+                          &q->k, &q->d, &q->w, &q->mimic, &q->jitter_sd, &q->p_h, &q->mode,
+                          &q->magnitude, &target_obj, &lo_obj, &hi_obj, &q->sigma))
+        return NULL;
+    if (q->k < 0 || q->d < 1) {
+        PyErr_SetString(PyExc_ValueError, "query needs k >= 0 and d >= 1");
+        return NULL;
+    }
+
+    const size_t k = (size_t)q->k, d = (size_t)q->d;
+    /* own, target, lo, hi: d each; neighbors: k*d */
+    double *buf = PyMem_New(double, 4 * d + k * d);
+    if (buf == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    double *own = buf, *target = own + d, *lo = target + d, *hi = lo + d, *nbrs = hi + d;
+    if (read_doubles(own_obj, "own", q->d, own) < 0 ||
+        read_doubles(nbrs_obj, "nbrs_flat", (Py_ssize_t)q->k * q->d, nbrs) < 0 ||
+        read_doubles(target_obj, "target", q->d, target) < 0 ||
+        read_doubles(lo_obj, "lo", q->d, lo) < 0 || read_doubles(hi_obj, "hi", q->d, hi) < 0) {
+        PyMem_Free(buf);
+        return NULL;
+    }
+    q->own = own;
+    q->nbrs = nbrs;
+    q->target = target;
+    q->lo = lo;
+    q->hi = hi;
+    return buf;
+}
+
+static PyObject *py_scripted_decision(PyObject *self, PyObject *args)
+{
+    PyObject *query, *prefix_obj;
     Query q;
     int m1, m_max;
     double cc, tau, trim_frac;
     u64 prefix;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOiididdidOOOdiddidO", kwlist, &own_obj,
-                                     &nbrs_obj, &q.k, &q.d, &q.w, &q.mimic, &q.jitter_sd,
-                                     &q.p_h, &q.mode, &q.magnitude, &target_obj, &lo_obj,
-                                     &hi_obj, &q.sigma, &m1, &cc, &tau, &m_max, &trim_frac,
-                                     &prefix_obj))
+    if (!PyArg_ParseTuple(args, "O!iddidO:scripted_decision", &PyTuple_Type, &query, &m1, &cc,
+                          &tau, &m_max, &trim_frac, &prefix_obj))
         return NULL;
     if (read_u64(prefix_obj, &prefix) < 0)
         return NULL;
-    if (q.k < 0 || q.d < 1 || m1 < 1 || m_max < 0 || !(trim_frac >= 0.0 && trim_frac < 0.5)) {
+    if (m1 < 1 || m_max < 0 || !(trim_frac >= 0.0 && trim_frac < 0.5)) {
         PyErr_SetString(PyExc_ValueError,
-                        "need k >= 0, d >= 1, m1 >= 1, m_max >= 0 and 0 <= trim_frac < 0.5");
+                        "need m1 >= 1, m_max >= 0 and 0 <= trim_frac < 0.5");
         return NULL;
     }
+    double *qbuf = read_query(query, &q);
+    if (qbuf == NULL)
+        return NULL;
 
     const size_t k = (size_t)q.k, d = (size_t)q.d, m_cap = (size_t)m1 + (size_t)m_max;
-    /* own, target, lo, hi, out: d each; neighbors: k*d; then the work area */
-    double *buf = PyMem_New(double, 5 * d + k * d + m_cap * (d + 1) + (k + 3) * d);
-    if (buf == NULL)
-        return PyErr_NoMemory();
-    double *own = buf, *target = own + d, *lo = target + d, *hi = lo + d, *out = hi + d;
-    double *nbrs = out + d, *work = nbrs + k * d;
+    /* out: d; then the work area */
+    double *buf = PyMem_New(double, d + m_cap * (d + 1) + (k + 3) * d);
     PyObject *value = NULL, *result = NULL;
     double variance;
     int m2;
 
-    if (read_doubles(own_obj, "own_list", q.d, own) < 0 ||
-        read_doubles(nbrs_obj, "nbrs_flat", (Py_ssize_t)q.k * q.d, nbrs) < 0 ||
-        read_doubles(target_obj, "target_list", q.d, target) < 0 ||
-        read_doubles(lo_obj, "lo_list", q.d, lo) < 0 || read_doubles(hi_obj, "hi_list", q.d, hi) < 0)
+    if (buf == NULL) {
+        PyErr_NoMemory();
         goto done;
-    q.own = own;
-    q.nbrs = nbrs;
-    q.target = target;
-    q.lo = lo;
-    q.hi = hi;
+    }
+    double *out = buf, *work = out + d;
 
     Py_BEGIN_ALLOW_THREADS
     m2 = smoothed(&q, prefix, m1, cc, tau, m_max, trim_frac, work, out, &variance);
@@ -363,6 +398,68 @@ static PyObject *py_scripted_decision(PyObject *self, PyObject *args, PyObject *
 
 done:
     PyMem_Free(buf);
+    PyMem_Free(qbuf);
+    return result;
+}
+
+static PyObject *py_sample_outputs(PyObject *self, PyObject *args)
+{
+    PyObject *query, *start_obj, *prefix_obj;
+    Py_ssize_t m;
+    Query q;
+    u64 start, prefix;
+
+    if (!PyArg_ParseTuple(args, "O!nOO:sample_outputs", &PyTuple_Type, &query, &m, &start_obj,
+                          &prefix_obj))
+        return NULL;
+    if (read_u64(start_obj, &start) < 0 || read_u64(prefix_obj, &prefix) < 0)
+        return NULL;
+    if (m < 0) {
+        PyErr_SetString(PyExc_ValueError, "need m >= 0");
+        return NULL;
+    }
+    double *qbuf = read_query(query, &q);
+    if (qbuf == NULL)
+        return NULL;
+
+    const size_t k = (size_t)q.k, d = (size_t)q.d;
+    /* samples: m*d; then eval_sample's scratch */
+    double *buf = PyMem_New(double, (size_t)m * d + (k + 2) * d);
+    PyObject *result = NULL;
+
+    if (buf == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    double *samples = buf, *scratch = samples + (size_t)m * d;
+
+    Py_BEGIN_ALLOW_THREADS
+    sample_range(&q, prefix, start, (size_t)m, samples, scratch);
+    Py_END_ALLOW_THREADS
+
+    result = PyTuple_New(m);
+    if (result == NULL)
+        goto done;
+    for (Py_ssize_t s = 0; s < m; s++) {
+        PyObject *vec = PyTuple_New(q.d);
+        if (vec == NULL) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyTuple_SET_ITEM(result, s, vec);
+        for (int c = 0; c < q.d; c++) {
+            PyObject *x = PyFloat_FromDouble(samples[(size_t)s * d + c]);
+            if (x == NULL) {
+                Py_CLEAR(result);
+                goto done;
+            }
+            PyTuple_SET_ITEM(vec, c, x);
+        }
+    }
+
+done:
+    PyMem_Free(buf);
+    PyMem_Free(qbuf);
     return result;
 }
 
@@ -371,17 +468,20 @@ static PyMethodDef fast_methods[] = {
     {"fold", py_fold, METH_VARARGS, "fold(h, w); twin of core.fold."},
     {"word_at", py_word_at, METH_VARARGS, "word_at(key, i); twin of core.word_at."},
     {"uniform_at", py_uniform_at, METH_VARARGS, "uniform_at(key, i); twin of core.uniform_at."},
-    {"scripted_decision", (PyCFunction)(void (*)(void))py_scripted_decision,
-     METH_VARARGS | METH_KEYWORDS,
-     "Two-stage smoothed decision over the scripted policy.\n\n"
+    {"scripted_decision", py_scripted_decision, METH_VARARGS,
+     "scripted_decision(query, m1, c, tau, m_max, trim_frac, prefix)\n\n"
+     "Two-stage smoothed decision over the scripted policy.\n"
      "Returns (value list, probe variance, extra sample count)."},
+    {"sample_outputs", py_sample_outputs, METH_VARARGS,
+     "sample_outputs(query, m, start_index, prefix)\n\n"
+     "Perturbed outputs of the scripted policy for stream indices\n"
+     "start_index .. start_index + m - 1: a tuple of m d-tuples."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef fast_module = {
     PyModuleDef_HEAD_INIT, "_fast",
-    "Fused smoothed-decision kernel for scripted policies, bit-identical to the "
-    "pure-Python path.",
+    "Sampling kernel for scripted policies, bit-identical to the pure-Python path.",
     -1, fast_methods,
 };
 

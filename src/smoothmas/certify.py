@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from scipy.special import ndtr, ndtri
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv, ndtr, ndtri
 
 from .core import Domain, StreamBranch, _require
 from .policy import AgentPolicy, PolicyInput
@@ -40,7 +39,8 @@ def clopper_pearson_bounds(successes: int, n: int, alpha: float) -> tuple[float,
 
     lower solves P[X >= successes | n, p] = alpha (0 when successes = 0);
     upper solves P[X <= successes | n, p] = alpha (1 when successes = n).
-    Computed through the Beta-quantile equivalence.
+    Computed through the Beta-quantile equivalence: the q-quantile of
+    Beta(a, b) is the inverse regularized incomplete beta betaincinv(a, b, q).
     """
     _require(n >= 1, f"n must be >= 1, got {n}")
     _require(0 <= successes <= n, f"successes must be in [0, {n}], got {successes}")
@@ -48,11 +48,11 @@ def clopper_pearson_bounds(successes: int, n: int, alpha: float) -> tuple[float,
     if successes == 0:
         lower = 0.0
     else:
-        lower = float(_beta.ppf(alpha, successes, n - successes + 1))
+        lower = float(betaincinv(successes, n - successes + 1, alpha))
     if successes == n:
         upper = 1.0
     else:
-        upper = float(_beta.ppf(1.0 - alpha, successes + 1, n - successes))
+        upper = float(betaincinv(successes + 1, n - successes, 1.0 - alpha))
     return lower, upper
 
 
@@ -102,6 +102,24 @@ class RegionPartition:
         idx = bisect.bisect_right(self.boundaries, x) - 1
         return min(max(idx, 0), self.k - 1)
 
+    def counts(self, values: Sequence[float]) -> list[int]:
+        """How many values region_of puts in each region.
+
+        Sorts once and bisects at the k - 1 interior boundaries. A NaN, or
+        +inf together with -inf, makes the sum NaN and the sort order
+        unreliable; those inputs take the region_of loop instead.
+        """
+        ordered = sorted(values)
+        total = sum(ordered)
+        if total != total:
+            counts = [0] * self.k
+            for x in ordered:
+                counts[self.region_of(x)] += 1
+            return counts
+        cuts = [bisect.bisect_left(ordered, b) for b in self.boundaries[1:-1]]
+        cuts = [0] + cuts + [len(ordered)]
+        return [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+
     def covers(self, domain: Domain) -> bool:
         return (
             domain.dimension == 1
@@ -124,6 +142,16 @@ def uniform_partition(domain: Domain, k: int = 10) -> RegionPartition:
 @dataclass(frozen=True)
 class Certificate:
     """Result of certifying one decision.
+
+    What is certified is the majority-region smoothed classifier
+    g(x) = argmax_i P[f(x + e) in region i], e ~ N(0, sigma^2 I), of Cohen,
+    Rosenfeld & Kolter, "Certified Adversarial Robustness via Randomized
+    Smoothing" (ICML 2019, arXiv:1902.02918). Here x is the agent's whole
+    input (own state and every neighbour state), the noisy copy is clamped to
+    the domain, and f is a single policy query on it, hallucination and
+    jitter draws included. radius bounds the L2 change of x under which g
+    keeps region. This is not the trimmed-mean decision the smoothing
+    defense deploys.
 
     radius is None on abstention. confidence is 1 - alpha. n_samples counts
     the samples the region estimates were built from.
@@ -155,7 +183,8 @@ def certify_decision(
 
     The leading region R_A is the empirical argmax (ties break toward the
     lower index); pB_upper is the tighter of 1 - pA_lower and the runner-up's
-    own upper bound.
+    own upper bound. The n samples come from one sample_policy batch, so a
+    scripted policy is sampled by the compiled kernel when it is active.
     """
     _require(policy_input.dimension == 1, "certification works on 1-D decisions")
     _require(n >= 2, f"need n >= 2 samples, got {n}")
@@ -168,9 +197,7 @@ def certify_decision(
         _require(partition.covers(check_domain), "partition does not cover the domain")
 
     batch = sample_policy(policy, policy_input, sigma, n, rng, domain)
-    counts = [0] * partition.k
-    for sample in batch.samples:
-        counts[partition.region_of(sample[0])] += 1
+    counts = partition.counts([sample[0] for sample in batch.samples])
     n_eff = len(batch.samples)
 
     region = counts.index(max(counts))

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .certify import (
+    RegionPartition,
     attenuation_factor,
     certify_decision,
     path_attenuation,
@@ -132,14 +133,10 @@ def _single_legs(
     cfg: ExperimentConfig, seed: int, defense_mode: str, gateway
 ) -> dict[str, ScenarioConfig]:
     if defense_mode == "both":
-        if cfg.defense is None:
-            raise ConfigError("config has no defense section but --defense both was given")
         return {
             "defense_off": scenario_config(cfg, seed=seed, use_defense=False, gateway=gateway),
             "defense_on": scenario_config(cfg, seed=seed, gateway=gateway),
         }
-    if defense_mode == "on" and cfg.defense is None:
-        raise ConfigError("config has no defense section but --defense on was given")
     use_defense = defense_mode == "on"
     return {"run": scenario_config(cfg, seed=seed, use_defense=use_defense, gateway=gateway)}
 
@@ -196,7 +193,12 @@ def _drive(
 ) -> int:
     """Run every leg of every seed, writing one CSV and one chart per leg and
     summary.json at the end; a failed policy evaluation or sampling stops the
-    run, which is then marked incomplete and exits 3."""
+    run, which is then marked incomplete and exits 3. Arguments are checked
+    before the output directory is touched."""
+    if args.defense != "off" and cfg.defense is None:
+        raise ConfigError(
+            f"config has no defense section but --defense {args.defense} was given"
+        )
     gateway = _gateway(cfg, args.live_llm)
     seeds = parse_seeds(args.seeds, cfg.master_seed)
     out = _prepare_outdir(args.out, args.force)
@@ -312,6 +314,82 @@ def _shortest_hops(cfg: ScenarioConfig) -> dict[int, Optional[list[int]]]:
     return paths
 
 
+def _certify_seed(
+    cfg: ExperimentConfig,
+    scenario: ScenarioConfig,
+    partition: RegionPartition,
+    agents: list[int],
+    seed: int,
+    gateway,
+) -> dict:
+    """One seed's certificates.json document."""
+    cert = cfg.certification
+    topology = scenario.topology
+    world = initial_world(scenario_config(cfg, seed=seed, gateway=gateway))
+    spec = SeedSpec(seed)
+    per_agent: dict[str, dict] = {}
+    radii: dict[int, float] = {}
+    for agent in agents:
+        pin = PolicyInput(
+            world.states[agent],
+            tuple((j, world.states[j]) for j in topology.neighbors(agent)),
+        )
+        result = certify_decision(
+            scenario.policies[agent],
+            pin,
+            partition,
+            cert.sigma,
+            cert.n,
+            cert.alpha,
+            spec.branch(0, agent, Purpose.CERTIFY),
+        )
+        radius = 0.0 if result.radius is None else result.radius
+        radii[agent] = radius
+        per_agent[str(agent)] = {
+            "region": result.region,
+            "pA_lower": result.pA_lower,
+            "pB_upper": result.pB_upper,
+            "radius": result.radius,
+            "abstained": result.abstained,
+            "confidence": result.confidence,
+            "n_samples": result.n_samples,
+            "attenuation_factor": attenuation_factor(radius, cert.sigma),
+        }
+    normal = [a for a in agents if a not in scenario.malicious]
+    table = []
+    paths = _shortest_hops(scenario) if scenario.malicious else {}
+    for agent in normal:
+        row = {
+            "agent": agent,
+            "radius": radii[agent],
+            "attenuation_factor": attenuation_factor(radii[agent], cert.sigma),
+            "hops_from_malicious": None,
+            "residual_perturbation": None,
+        }
+        path = paths.get(agent)
+        if path:
+            hop_radii = [radii.get(node, 0.0) for node in path]
+            row["hops_from_malicious"] = len(path)
+            row["residual_perturbation"] = path_attenuation(
+                cert.delta_mal_max, hop_radii, cert.sigma
+            )
+        table.append(row)
+    report = {
+        "config": serialize_config(cfg),
+        "seed": seed,
+        "sigma": cert.sigma,
+        "alpha": cert.alpha,
+        "n": cert.n,
+        "partition_boundaries": list(partition.boundaries),
+        "per_agent": per_agent,
+        "attenuation_table": table,
+    }
+    if normal:
+        r_min = min(radii[a] for a in normal)
+        report["tolerance_index"] = tolerance_index(r_min, cert.delta_mal_max)
+    return report
+
+
 def cmd_certify(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if cfg.dimension != 1:
@@ -323,77 +401,23 @@ def cmd_certify(args: argparse.Namespace) -> int:
     partition = uniform_partition(cfg.domain, cert.k_regions)
     agents = list(cert.agents) if cert.agents is not None else list(range(cfg.n))
     scenario = scenario_config(cfg, gateway=gateway)
-    topology = scenario.topology
-    for seed in seeds:
-        world = initial_world(
-            scenario_config(cfg, seed=seed, gateway=gateway)
-        )
-        spec = SeedSpec(seed)
-        per_agent: dict[str, dict] = {}
-        radii: dict[int, float] = {}
-        for agent in agents:
-            pin = PolicyInput(
-                world.states[agent],
-                tuple((j, world.states[j]) for j in topology.neighbors(agent)),
+    try:
+        for seed in seeds:
+            report = _certify_seed(cfg, scenario, partition, agents, seed, gateway)
+            seed_dir = out / f"seed_{seed}"
+            seed_dir.mkdir(exist_ok=True)
+            (seed_dir / "certificates.json").write_text(
+                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
-            result = certify_decision(
-                scenario.policies[agent],
-                pin,
-                partition,
-                cert.sigma,
-                cert.n,
-                cert.alpha,
-                spec.branch(0, agent, Purpose.CERTIFY),
-            )
-            radius = 0.0 if result.radius is None else result.radius
-            radii[agent] = radius
-            per_agent[str(agent)] = {
-                "region": result.region,
-                "pA_lower": result.pA_lower,
-                "pB_upper": result.pB_upper,
-                "radius": result.radius,
-                "abstained": result.abstained,
-                "confidence": result.confidence,
-                "n_samples": result.n_samples,
-                "attenuation_factor": attenuation_factor(radius, cert.sigma),
-            }
-        normal = [a for a in agents if a not in scenario.malicious]
-        table = []
-        paths = _shortest_hops(scenario) if scenario.malicious else {}
-        for agent in normal:
-            row = {
-                "agent": agent,
-                "radius": radii[agent],
-                "attenuation_factor": attenuation_factor(radii[agent], cert.sigma),
-                "hops_from_malicious": None,
-                "residual_perturbation": None,
-            }
-            path = paths.get(agent)
-            if path:
-                hop_radii = [radii.get(node, 0.0) for node in path]
-                row["hops_from_malicious"] = len(path)
-                row["residual_perturbation"] = path_attenuation(
-                    cert.delta_mal_max, hop_radii, cert.sigma
-                )
-            table.append(row)
-        report = {
+    except (PolicyUnavailableError, SamplingFailedError) as exc:
+        _write_summary(out, {
             "config": serialize_config(cfg),
-            "seed": seed,
-            "sigma": cert.sigma,
-            "alpha": cert.alpha,
-            "n": cert.n,
-            "partition_boundaries": list(partition.boundaries),
-            "per_agent": per_agent,
-            "attenuation_table": table,
-        }
-        if normal:
-            r_min = min(radii[a] for a in normal)
-            report["tolerance_index"] = tolerance_index(r_min, cert.delta_mal_max)
-        seed_dir = out / f"seed_{seed}"
-        seed_dir.mkdir(exist_ok=True)
-        (seed_dir / "certificates.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+            "seeds": seeds,
+            "incomplete": True,
+            "error": str(exc),
+        })
+        print(f"error: certification incomplete: {exc}", file=sys.stderr)
+        return 3
     print(f"wrote {len(seeds)} certification report(s) to {out}")
     return 0
 

@@ -9,9 +9,10 @@ querying; a dead-quiet probe buys none).
 Used at two levels: verifying a neighbor's report by re-deriving it from the
 neighbor's own smoothed decision, and smoothing the agent's own update.
 
-Scripted policies dispatch to the compiled kernel when it is available; the
-generic loop below is the reference implementation and the fallback, and the
-two produce bit-identical results.
+Scripted policies dispatch to the compiled kernel when it is available, both
+for smoothed decisions and for raw sample batches; the generic loops below are
+the reference implementation and the fallback, and the two produce
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Callable, Optional, Union
 
 from . import _kernels
 from .core import (
+    MASK64,
     Domain,
     PolicyUnavailableError,
     SamplingFailedError,
@@ -137,9 +139,21 @@ def sample_policy(
     ascending id order), then the policy's internal draws. A sample that fails
     with PolicyUnavailableError is recorded and excluded; if any failed and
     fewer than max(2, m/2) remain the whole batch is abandoned.
+
+    A scripted policy with no explicit domain is sampled by the compiled
+    kernel when it is active, with bit-identical outputs.
     """
     _require(m >= 1, "sample count m must be >= 1")
     _require(sigma >= 0.0, "sigma must be >= 0")
+    fast = _kernels.fast()
+    if fast is not None and domain is None and _kernel_dispatchable(policy):
+        samples = fast.sample_outputs(
+            _kernel_query(policy, policy_input, sigma),
+            m,
+            start_index & MASK64,
+            rng.prefix & MASK64,
+        )
+        return SampleBatch(samples, requested=m, failed=0)
     if domain is None:
         domain = policy.domain if isinstance(policy, AgentPolicy) else None
         _require(domain is not None, "sample_policy needs a domain for bare callables")
@@ -199,8 +213,9 @@ def _kernel_dispatchable(policy: PolicyFn) -> bool:
     )
 
 
-def _kernel_decision(policy: AgentPolicy, policy_input: PolicyInput, cfg: SmoothingConfig,
-                     rng: StreamBranch, fast) -> SmoothedDecision:
+def _kernel_query(policy: AgentPolicy, policy_input: PolicyInput, sigma: float) -> tuple:
+    """The kernel's query tuple: the input, the policy's scalars, its domain
+    and the noise scale, in the order the kernel's read_query parses them."""
     halluc = policy.halluc
     p_h = 0.0 if halluc is None else halluc.p_h
     mode = 0 if (halluc is None or p_h == 0.0) else _MODE_CODES[halluc.mode]
@@ -208,14 +223,14 @@ def _kernel_decision(policy: AgentPolicy, policy_input: PolicyInput, cfg: Smooth
     domain = policy.domain
     d = policy_input.dimension
     _require(domain.dimension == d, "vector dimension does not match domain")
-    target = [0.0] * d
+    target = (0.0,) * d
     if halluc is not None and halluc.target is not None:
-        target = list(halluc.target)
+        target = halluc.target
     nbrs_flat: list[float] = []
     for _, vec in policy_input.neighbor_states:
         nbrs_flat.extend(vec)
-    value, variance, m2 = fast.scripted_decision(
-        list(policy_input.own_state),
+    return (
+        policy_input.own_state,
         nbrs_flat,
         len(policy_input.neighbor_states),
         d,
@@ -226,15 +241,22 @@ def _kernel_decision(policy: AgentPolicy, policy_input: PolicyInput, cfg: Smooth
         mode,
         magnitude,
         target,
-        list(domain.low),
-        list(domain.high),
-        cfg.sigma,
+        domain.low,
+        domain.high,
+        sigma,
+    )
+
+
+def _kernel_decision(policy: AgentPolicy, policy_input: PolicyInput, cfg: SmoothingConfig,
+                     rng: StreamBranch, fast) -> SmoothedDecision:
+    value, variance, m2 = fast.scripted_decision(
+        _kernel_query(policy, policy_input, cfg.sigma),
         cfg.m1,
         cfg.c,
         cfg.tau,
         cfg.m_max,
         cfg.trim_frac,
-        rng.prefix,
+        rng.prefix & MASK64,
     )
     return SmoothedDecision(
         value=tuple(value),

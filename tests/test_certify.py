@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +116,26 @@ class TestClopperPearson:
                 lower, upper = clopper_pearson_bounds(s, n, 0.05)
                 assert lower <= s / n <= upper
 
+    def test_equals_beta_ppf_exactly(self):
+        # the bounds are betaincinv(a, b, q); scipy.stats' Beta quantile
+        # beta.ppf(q, a, b) must give the very same floats
+        from scipy.stats import beta
+
+        for n in (1, 2, 3, 10, 99, 1000, 2000, 10**4, 10**5):
+            for s in sorted({s for s in (0, 1, 2, n // 2, n - 1, n) if s <= n}):
+                for alpha in (1e-6, 0.001, 0.01, 0.05, 0.25):
+                    lower, upper = clopper_pearson_bounds(s, n, alpha)
+                    want_lower = 0.0 if s == 0 else float(beta.ppf(alpha, s, n - s + 1))
+                    want_upper = 1.0 if s == n else float(beta.ppf(1 - alpha, s + 1, n - s))
+                    assert (lower, upper) == (want_lower, want_upper), (s, n, alpha)
+
+    def test_package_does_not_import_scipy_stats(self):
+        probe = "import sys, smoothmas; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
     @pytest.mark.parametrize(
         "s,n,alpha", [(-1, 10, 0.05), (11, 10, 0.05), (5, 0, 0.05), (5, 10, 0.0), (5, 10, 1.0)]
     )
@@ -184,6 +207,37 @@ class TestRegionPartition:
         part = uniform_partition(Domain((2.0,), (4.0,)), 4)
         mids = [2.25, 2.75, 3.25, 3.75]
         assert [part.region_of(x) for x in mids] == [0, 1, 2, 3]
+
+    def test_counts_match_region_of_loop(self):
+        part = RegionPartition((0.0, 0.25, 0.5, 0.6, 1.0))
+        edges = [0.0, 0.25, 0.5, 0.6, 1.0]
+        values = edges + [math.nextafter(b, -math.inf) for b in edges] + [
+            math.nextafter(b, math.inf) for b in edges
+        ] + [-3.0, 4.0, 0.3, 0.3, 0.55, -math.inf, math.inf]
+        expected = [0] * part.k
+        for x in values:
+            expected[part.region_of(x)] += 1
+        assert part.counts(values) == expected
+        assert part.counts([]) == [0] * part.k
+
+    @pytest.mark.parametrize("extra", [[math.nan], [math.inf, -math.inf], [math.nan, 0.3]])
+    def test_counts_with_unordered_values_match_region_of_loop(self, extra):
+        part = uniform_partition(UNIT_DOMAIN, 4)
+        values = extra + [0.1, 0.9, 0.5, 0.25] + extra
+        expected = [0] * part.k
+        for x in values:
+            expected[part.region_of(x)] += 1
+        assert part.counts(values) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.8, 1.0, -1.0, 2.0])
+                    | st.floats(-0.5, 1.5), max_size=60))
+    def test_counts_match_region_of_loop_everywhere(self, values):
+        part = uniform_partition(UNIT_DOMAIN, 5)
+        expected = [0] * part.k
+        for x in values:
+            expected[part.region_of(x)] += 1
+        assert part.counts(values) == expected
 
     def test_rejects_non_increasing(self):
         with pytest.raises(InvalidArgumentError):
@@ -264,6 +318,37 @@ class TestCertifyDecision:
             _branch(1), domain=UNIT_DOMAIN,
         )
         assert cert.n_samples == 7
+
+    def test_samples_on_boundaries_and_ends_count_like_region_of(self):
+        # every boundary, the clamped ends and points beyond them; the
+        # certificate must be the one a region_of loop over the samples gives
+        part = uniform_partition(UNIT_DOMAIN, 5)
+        pattern = list(part.boundaries) + [-0.5, 1.5, 0.2, 0.2, 0.2, 0.2]
+        outputs = itertools.cycle([(x,) for x in pattern])
+
+        def on_edges(policy_input, stream):
+            return next(outputs)
+
+        n, alpha, sigma = 11 * len(pattern), 0.05, 0.1
+        cert = certify_decision(
+            on_edges, PolicyInput((0.5,), ()), part, sigma, n, alpha,
+            _branch(2), domain=UNIT_DOMAIN,
+        )
+        counts = [0] * part.k
+        for x in pattern * 11:
+            counts[part.region_of(x)] += 1
+        assert counts == [11 * 2, 11 * 5, 11 * 1, 11 * 1, 11 * 3]
+        pA_lower, _ = clopper_pearson_bounds(counts[1], n, alpha)
+        _, runner_upper = clopper_pearson_bounds(counts[4], n, alpha)
+        pB_upper = min(1.0 - pA_lower, runner_upper)
+        assert cert == Certificate(
+            region=1,
+            pA_lower=pA_lower,
+            pB_upper=pB_upper,
+            radius=certified_radius(pA_lower, pB_upper, sigma),
+            confidence=1.0 - alpha,
+            n_samples=n,
+        )
 
     def test_rejects_multidimensional_input(self):
         policy = AgentPolicy(kind=mean_aggregation(), domain=Domain((0.0, 0.0), (1.0, 1.0)))

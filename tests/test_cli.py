@@ -145,6 +145,17 @@ class TestRunCommand:
         assert "repeats" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("defense", [None, "on"])
+    def test_missing_defense_section_leaves_outdir_untouched(self, tmp_path, capsys, defense):
+        cfg = _write(tmp_path, {"schema_version": 1, "scenario": "single", "rounds": 3})
+        out = tmp_path / "out"
+        argv = ["run", "--config", cfg, "--out", str(out)]
+        if defense is not None:
+            argv += ["--defense", defense]
+        assert main(argv) == 1
+        assert "no defense section" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_scenario_has_no_improvement_metric(self, tmp_path, capsys):
         doc = {"schema_version": 1, "scenario": "single", "rounds": 5}
         cfg = _write(tmp_path, doc)
@@ -272,6 +283,22 @@ class TestCertifyCommand:
         assert entry["abstained"]
         assert entry["radius"] is None
         assert entry["attenuation_factor"] == 0.5
+
+    def test_live_llm_without_key_flags_incomplete(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("LLM_API_KEY", raising=False)
+        doc = dict(TRIPLET_DOC, certification={"n": 20})
+        doc["policy"] = {"kind": "external-llm"}
+        doc["llm"] = {"base_url": "http://llm.test", "model": "m", "max_retries": 0}
+        cfg = _write(tmp_path, doc)
+        out = tmp_path / "out"
+        rc = main(["certify", "--config", cfg, "--out", str(out), "--live-llm"])
+        assert rc == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["incomplete"] is True
+        assert summary["seeds"] == [0]
+        assert "LLM_API_KEY" in summary["error"]
+        assert "LLM_API_KEY" in capsys.readouterr().err
+        assert not (out / "seed_0").exists()
 
     def test_rejects_multidimensional_config(self, tmp_path, capsys):
         cfg = _write(tmp_path, FORMATION_DOC)

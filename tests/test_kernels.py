@@ -17,7 +17,8 @@ from smoothmas.policy import (
     llm_mimic,
     mean_aggregation,
 )
-from smoothmas.smoothing import SmoothingConfig, smoothed_decision_detail
+from smoothmas.certify import certify_decision, uniform_partition
+from smoothmas.smoothing import SmoothingConfig, sample_policy, smoothed_decision_detail
 
 # With SMOOTHMAS_REQUIRE_FAST=1 these tests run even when the kernel is
 # missing, and then fail instead of skipping.
@@ -124,13 +125,110 @@ def test_both_backends_reject_dimension_mismatch_identically(restore_backend):
     inp = PolicyInput((0.4,), ((1, (0.6,)),))
     cfg = SmoothingConfig(sigma=0.05, m1=5)
     branch = SeedSpec(0).branch(0, 0, Purpose.VERIFY)
-    messages = []
-    for mode in ("fast", "pure"):
-        _kernels.use_backend(mode)
-        with pytest.raises(InvalidArgumentError) as err:
-            smoothed_decision_detail(policy, inp, cfg, branch)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    entries = (
+        lambda: smoothed_decision_detail(policy, inp, cfg, branch),
+        lambda: sample_policy(policy, inp, cfg.sigma, 5, branch),
+    )
+    for entry in entries:
+        messages = []
+        for mode in ("fast", "pure"):
+            _kernels.use_backend(mode)
+            with pytest.raises(InvalidArgumentError) as err:
+                entry()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+class _KernelSpy:
+    """Stands in for the kernel module and counts sample_outputs calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sample_outputs(self, *args):
+        self.calls += 1
+        return _kernels._fast.sample_outputs(*args)
+
+
+@pytest.fixture
+def kernel_spy(monkeypatch):
+    spy = _KernelSpy()
+    selected = _kernels.fast
+    monkeypatch.setattr(_kernels, "fast", lambda: None if selected() is None else spy)
+    return spy
+
+
+SAMPLE_HALLUC = {
+    "none": lambda d: None,
+    "p_h=0": lambda d: HallucinationConfig(p_h=0.0, mode="large-jump"),
+    "uniform-random": lambda d: HallucinationConfig(p_h=0.4, mode="uniform-random"),
+    "fixed-target": lambda d: HallucinationConfig(
+        p_h=0.4, mode="fixed-target", target=(0.1, 0.9, 0.5)[:d]
+    ),
+    "large-jump": lambda d: HallucinationConfig(p_h=0.5, mode="large-jump", magnitude=0.4),
+}
+SAMPLE_INPUTS = {
+    (1, 2): PolicyInput((0.4,), ((1, (0.6,)), (2, (0.2,)))),
+    (1, 0): PolicyInput((0.95,), ()),
+    (3, 2): PolicyInput((0.4, 0.5, 0.6), ((1, (0.6, 0.1, 0.9)), (2, (0.2, 0.8, 0.3)))),
+    (3, 0): PolicyInput((0.05, 0.5, 0.95), ()),
+}
+
+
+@needs_fast
+@pytest.mark.parametrize("halluc", sorted(SAMPLE_HALLUC))
+@pytest.mark.parametrize("d,k", sorted(SAMPLE_INPUTS))
+@pytest.mark.parametrize("start_index", [0, 7, core.MASK64])
+def test_sample_policy_backends_agree(halluc, d, k, start_index, kernel_spy, restore_backend):
+    domain = UNIT_DOMAIN if d == 1 else DOM3
+    inp = SAMPLE_INPUTS[(d, k)]
+    branch = SeedSpec(31).branch(2, k, Purpose.CERTIFY)
+    for kind in (mean_aggregation(0.3), llm_mimic(0.05, 0.6)):
+        policy = AgentPolicy(kind, halluc=SAMPLE_HALLUC[halluc](d), domain=domain)
+        for sigma in (0.0, 0.2):
+            calls = kernel_spy.calls
+            _kernels.use_backend("pure")
+            pure = sample_policy(policy, inp, sigma, 40, branch, start_index=start_index)
+            _kernels.use_backend("fast")
+            fast = sample_policy(policy, inp, sigma, 40, branch, start_index=start_index)
+            assert kernel_spy.calls == calls + 1
+            assert fast == pure, (kind, sigma)
+
+
+@needs_fast
+def test_explicit_domain_bypasses_kernel_for_samples(kernel_spy, restore_backend):
+    policy = AgentPolicy(llm_mimic(0.05), halluc=HallucinationConfig(p_h=0.3))
+    inp = SAMPLE_INPUTS[(1, 2)]
+    branch = SeedSpec(5).branch(0, 1, Purpose.CERTIFY)
+    _kernels.use_backend("fast")
+    forced_pure = sample_policy(policy, inp, 0.1, 30, branch, domain=UNIT_DOMAIN)
+    assert kernel_spy.calls == 0
+    via_kernel = sample_policy(policy, inp, 0.1, 30, branch)
+    assert kernel_spy.calls == 1
+    assert via_kernel == forced_pure
+
+
+@needs_fast
+def test_certificates_on_boundaries_match_across_backends(restore_backend):
+    # sigma = 0.6 clamps many samples to exactly 0.0 and 1.0, the partition's
+    # end boundaries; both backends must give the same certificate
+    part = uniform_partition(UNIT_DOMAIN, 4)
+    cases = [
+        (AgentPolicy(mean_aggregation(1.0)), PolicyInput((0.0,), ())),
+        (AgentPolicy(mean_aggregation(0.5)), PolicyInput((1.0,), ((1, (0.75,)),))),
+        (AgentPolicy(llm_mimic(0.1), halluc=HallucinationConfig(p_h=0.2)),
+         PolicyInput((0.5,), ((3, (0.25,)),))),
+    ]
+    for i, (policy, inp) in enumerate(cases):
+        branch = SeedSpec(8).branch(0, i, Purpose.CERTIFY)
+        _kernels.use_backend("fast")
+        samples = set(sample_policy(policy, inp, 0.6, 500, branch).samples)
+        assert {(0.0,), (1.0,)} <= samples, i
+        certs = []
+        for mode in ("fast", "pure"):
+            _kernels.use_backend(mode)
+            certs.append(certify_decision(policy, inp, part, 0.6, 500, 0.01, branch))
+        assert certs[0] == certs[1], i
 
 
 BOUNDARY_WORDS = (0, 1, 1 << 63, core.MASK64, core._GAMMA)
