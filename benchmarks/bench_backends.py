@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Compare the compiled smoothing kernel against the pure-Python fallback.
+"""Compare the compiled sampling kernel against the pure-Python fallback.
 
-Times smoothed_decision on representative policy/config combinations, a
-2000-sample certificate and a full defended ring scenario, once per backend,
-and checks that both backends produce bit-identical results (certificates
-included) while doing so.
+The kernel only draws sample batches (smoothing.sample_policy); the
+two-stage decision and the certificate run the same Python code on both
+backends. Times smoothed_decision on representative policy/config
+combinations, a 2000-sample certificate and a full defended ring scenario,
+once per backend, and checks that both backends produce bit-identical
+results (certificates included) while doing so.
 
 Usage:
     python3 benchmarks/bench_backends.py [--repeats N] [--number N]

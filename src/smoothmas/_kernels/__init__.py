@@ -1,9 +1,12 @@
-"""Selection between the compiled smoothing kernel and the pure-Python path.
+"""Selection between the compiled sampling kernel and the pure-Python path.
 
 The compiled module is optional; when it failed to build (or is disabled via
 SMOOTHMAS_BACKEND=pure) callers get None from `fast()` and run the generic
 Python implementation instead. Both paths are bit-identical by contract and
 tested as such.
+
+SMOOTHMAS_BACKEND selects the mode at import, under the same rules as
+`use_backend`: an unknown name, or 'fast' without a built kernel, raises.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ except ImportError:  # pragma: no cover - depends on build environment
     _fast = None  # type: ignore[assignment]
 
 _VALID = ("auto", "fast", "pure")
-_mode = os.environ.get("SMOOTHMAS_BACKEND", "auto")
-if _mode not in _VALID:
-    _mode = "auto"
+_mode = "auto"
 
 
 def use_backend(mode: str) -> None:
@@ -26,7 +27,10 @@ def use_backend(mode: str) -> None:
     if mode not in _VALID:
         raise ValueError(f"backend must be one of {_VALID}, got {mode!r}")
     if mode == "fast" and _fast is None:
-        raise RuntimeError("compiled kernel is not available in this build")
+        raise RuntimeError(
+            "backend 'fast' needs the compiled kernel, which is not available "
+            "in this build; use 'auto' or 'pure'"
+        )
     global _mode
     _mode = mode
 
@@ -40,3 +44,6 @@ def active_backend() -> str:
 def fast():
     """The compiled module, or None when the pure path should be used."""
     return _fast if active_backend() == "fast" else None
+
+
+use_backend(os.environ.get("SMOOTHMAS_BACKEND", "auto"))

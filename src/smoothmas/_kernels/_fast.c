@@ -1,17 +1,15 @@
 /*
  * Sampling kernel for scripted policies.
  *
- * Two entries share one query layout (see read_query):
- *   scripted_decision  the fused two-stage smoothed decision, mirroring
- *                      smoothing.smoothed_decision_detail;
- *   sample_outputs     m perturbed policy outputs from stream index
- *                      start_index on, mirroring smoothing.sample_policy
- *                      (certification draws its samples here).
+ * One entry, sample_outputs: m perturbed policy outputs from stream index
+ * start_index on, mirroring smoothing.sample_policy. Smoothed decisions (the
+ * probe, the variance budget and the trimmed mean) and certificates stay in
+ * Python and draw their samples here.
  *
- * Both mirror, operation for operation, the pure path: core.Stream draws and
- * policy.evaluate_policy / policy.hallucinate_wrap arithmetic. Outputs are
- * bit-identical to the Python implementation; the parity tests enforce that.
- * Any change here must be made in the Python reference as well.
+ * Sampling mirrors, operation for operation, the pure path: core.Stream
+ * draws and policy.evaluate_policy / policy.hallucinate_wrap arithmetic.
+ * Outputs are bit-identical to the Python implementation; the parity tests
+ * enforce that. Any change here must be made in the Python reference as well.
  *
  * Bit-identity also depends on the compiler rounding every multiply and add
  * separately, as Python does: build with -ffp-contract=off and never with
@@ -23,7 +21,6 @@
 
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 
 typedef uint64_t u64;
 
@@ -78,13 +75,6 @@ static inline double clamp1(double x, double lo, double hi)
     if (x > hi)
         return hi;
     return x;
-}
-
-static int cmp_double(const void *a, const void *b)
-{
-    double x = *(const double *)a;
-    double y = *(const double *)b;
-    return (x > y) - (x < y);
 }
 
 /* ---- the policy query ---- */
@@ -167,66 +157,6 @@ static void sample_range(const Query *q, u64 prefix, u64 start, size_t count, do
         stream.cursor = 0;
         eval_sample(q, &stream, samples + s * (size_t)q->d, scratch);
     }
-}
-
-/* Two-stage smoothed decision: writes the trimmed mean to out and the probe
- * variance to *variance, returns the extra sample count m2. work holds
- * (m1 + m_max) * (d + 1) + (k + 3) * d doubles. */
-static int smoothed(const Query *q, u64 prefix, int m1, double cc, double tau, int m_max,
-                    double trim_frac, double *work, double *out, double *variance)
-{
-    const int d = q->d;
-    const size_t m_cap = (size_t)m1 + (size_t)m_max;
-    double *samples = work;
-    double *scratch = samples + m_cap * d;
-    double *means = scratch + (size_t)(q->k + 2) * d;
-    double *column = means + d;
-    double acc, v;
-    int c, s, m2;
-
-    /* stage 1: probe */
-    sample_range(q, prefix, 0, (size_t)m1, samples, scratch);
-
-    /* probe variance, biased 1/m1 normalization */
-    for (c = 0; c < d; c++) {
-        acc = 0.0;
-        for (s = 0; s < m1; s++)
-            acc += samples[s * d + c];
-        means[c] = acc / m1;
-    }
-    acc = 0.0;
-    for (s = 0; s < m1; s++)
-        for (c = 0; c < d; c++) {
-            double diff = samples[s * d + c] - means[c];
-            acc += diff * diff;
-        }
-    v = acc / m1;
-    *variance = v;
-
-    /* stage 2 budget: min(ceil(c*V/tau), m_max), zero for a dead-quiet probe.
-     * Comparing before the cast keeps a huge ratio from overflowing int. */
-    if (v == 0.0) {
-        m2 = 0;
-    } else {
-        double ratio = (cc * v) / tau;
-        m2 = ratio < (double)m_max ? (int)ceil(ratio) : m_max;
-    }
-    sample_range(q, prefix, (u64)m1, (size_t)m2, samples + (size_t)m1 * d, scratch);
-
-    /* component-wise trimmed mean */
-    const int m = m1 + m2;
-    const int g = (int)(trim_frac * m);
-    const int kept = m - 2 * g;
-    for (c = 0; c < d; c++) {
-        for (s = 0; s < m; s++)
-            column[s] = samples[s * d + c];
-        qsort(column, (size_t)m, sizeof(double), cmp_double);
-        acc = 0.0;
-        for (s = g; s < m - g; s++)
-            acc += column[s];
-        out[c] = acc / kept;
-    }
-    return m2;
 }
 
 /* ---- Python entry points ---- */
@@ -344,64 +274,6 @@ static double *read_query(PyObject *tuple, Query *q)
     return buf;
 }
 
-static PyObject *py_scripted_decision(PyObject *self, PyObject *args)
-{
-    PyObject *query, *prefix_obj;
-    Query q;
-    int m1, m_max;
-    double cc, tau, trim_frac;
-    u64 prefix;
-
-    if (!PyArg_ParseTuple(args, "O!iddidO:scripted_decision", &PyTuple_Type, &query, &m1, &cc,
-                          &tau, &m_max, &trim_frac, &prefix_obj))
-        return NULL;
-    if (read_u64(prefix_obj, &prefix) < 0)
-        return NULL;
-    if (m1 < 1 || m_max < 0 || !(trim_frac >= 0.0 && trim_frac < 0.5)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "need m1 >= 1, m_max >= 0 and 0 <= trim_frac < 0.5");
-        return NULL;
-    }
-    double *qbuf = read_query(query, &q);
-    if (qbuf == NULL)
-        return NULL;
-
-    const size_t k = (size_t)q.k, d = (size_t)q.d, m_cap = (size_t)m1 + (size_t)m_max;
-    /* out: d; then the work area */
-    double *buf = PyMem_New(double, d + m_cap * (d + 1) + (k + 3) * d);
-    PyObject *value = NULL, *result = NULL;
-    double variance;
-    int m2;
-
-    if (buf == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    double *out = buf, *work = out + d;
-
-    Py_BEGIN_ALLOW_THREADS
-    m2 = smoothed(&q, prefix, m1, cc, tau, m_max, trim_frac, work, out, &variance);
-    Py_END_ALLOW_THREADS
-
-    value = PyList_New(q.d);
-    if (value == NULL)
-        goto done;
-    for (int c = 0; c < q.d; c++) {
-        PyObject *x = PyFloat_FromDouble(out[c]);
-        if (x == NULL) {
-            Py_CLEAR(value);
-            goto done;
-        }
-        PyList_SET_ITEM(value, c, x);
-    }
-    result = Py_BuildValue("(Ndi)", value, variance, m2);
-
-done:
-    PyMem_Free(buf);
-    PyMem_Free(qbuf);
-    return result;
-}
-
 static PyObject *py_sample_outputs(PyObject *self, PyObject *args)
 {
     PyObject *query, *start_obj, *prefix_obj;
@@ -468,10 +340,6 @@ static PyMethodDef fast_methods[] = {
     {"fold", py_fold, METH_VARARGS, "fold(h, w); twin of core.fold."},
     {"word_at", py_word_at, METH_VARARGS, "word_at(key, i); twin of core.word_at."},
     {"uniform_at", py_uniform_at, METH_VARARGS, "uniform_at(key, i); twin of core.uniform_at."},
-    {"scripted_decision", py_scripted_decision, METH_VARARGS,
-     "scripted_decision(query, m1, c, tau, m_max, trim_frac, prefix)\n\n"
-     "Two-stage smoothed decision over the scripted policy.\n"
-     "Returns (value list, probe variance, extra sample count)."},
     {"sample_outputs", py_sample_outputs, METH_VARARGS,
      "sample_outputs(query, m, start_index, prefix)\n\n"
      "Perturbed outputs of the scripted policy for stream indices\n"

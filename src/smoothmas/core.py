@@ -168,9 +168,13 @@ class Domain:
     high: StateVec
 
     def __post_init__(self):
-        _require(len(self.low) == len(self.high), "domain bounds must have equal length")
-        _require(len(self.low) >= 1, "domain must have at least one axis")
-        for lo, hi in zip(self.low, self.high):
+        low = tuple(float(x) for x in self.low)
+        high = tuple(float(x) for x in self.high)
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
+        _require(len(low) == len(high), "domain bounds must have equal length")
+        _require(len(low) >= 1, "domain must have at least one axis")
+        for lo, hi in zip(low, high):
             _require(math.isfinite(lo) and math.isfinite(hi), "domain bounds must be finite")
             _require(lo < hi, f"domain axis must satisfy low < high, got [{lo}, {hi}]")
 

@@ -153,7 +153,8 @@ def evaluate_policy(
     if kind.tag == EXTERNAL_LLM:
         if gateway is None:
             raise PolicyUnavailableError("external-llm policy requires a gateway")
-        return domain.clamp(gateway.query_decision(policy_input, domain))
+        # the reply enters the simulation here; later rounds do not re-check it
+        return as_state(domain.clamp(gateway.query_decision(policy_input, domain)))
     if not policy_input.neighbor_states:
         return policy_input.own_state
     out = _weighted_mean(kind, policy_input)

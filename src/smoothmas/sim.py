@@ -38,7 +38,11 @@ from .core import (
     UNIT_DOMAIN,
     _require,
 )
-from .policy import AgentPolicy, PolicyInput
+# The round loop builds its inputs with _unchecked_input: snapshot states are
+# finite float tuples of the domain's dimension (policy outputs are clamped to
+# a float-bounded Domain), and Topology.neighbors is sorted and unique.
+# PolicyInput stays a module-level name; the benchmark tracer patches it.
+from .policy import AgentPolicy, PolicyInput, _unchecked_input  # noqa: F401
 from .smoothing import SmoothingConfig, smoothed_decision_detail
 
 
@@ -198,9 +202,8 @@ def step_detail(
             }
         )
         for j in need:
-            nbr_input = PolicyInput(
-                own_state=snapshot[j],
-                neighbor_states=tuple((l, snapshot[l]) for l in topology.neighbors(j)),
+            nbr_input = _unchecked_input(
+                snapshot[j], tuple((l, snapshot[l]) for l in topology.neighbors(j))
             )
             try:
                 detail = smoothed_decision_detail(
@@ -220,7 +223,7 @@ def step_detail(
         wire = tuple((j, reports[(i, j)]) for j in nbrs)
         branch = seed.branch(round_index, i, Purpose.DECIDE)
         if i in malicious or defense is None:
-            pin = PolicyInput(snapshot[i], wire)
+            pin = _unchecked_input(snapshot[i], wire)
             try:
                 return cfg.policies[i](pin, branch.stream(0)), 1
             except PolicyUnavailableError as exc:
@@ -232,7 +235,7 @@ def step_detail(
             if defense.verify_neighbors
             else wire
         )
-        pin = PolicyInput(snapshot[i], inputs)
+        pin = _unchecked_input(snapshot[i], inputs)
         try:
             if defense.smooth_decisions:
                 detail = smoothed_decision_detail(

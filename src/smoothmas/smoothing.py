@@ -9,17 +9,18 @@ querying; a dead-quiet probe buys none).
 Used at two levels: verifying a neighbor's report by re-deriving it from the
 neighbor's own smoothed decision, and smoothing the agent's own update.
 
-Scripted policies dispatch to the compiled kernel when it is available, both
-for smoothed decisions and for raw sample batches; the generic loops below are
-the reference implementation and the fallback, and the two produce
-bit-identical results.
+The two-stage algorithm exists only here. The compiled kernel, when it is
+available, serves sampling alone: `sample_policy` hands batches of a scripted
+policy to it and is the one place that dispatches. Variance, budget and
+trimmed mean run in Python on every backend. The generic sampling loop below
+is the reference and the fallback, and both produce bit-identical samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from . import _kernels
 from .core import (
@@ -247,26 +248,6 @@ def _kernel_query(policy: AgentPolicy, policy_input: PolicyInput, sigma: float) 
     )
 
 
-def _kernel_decision(policy: AgentPolicy, policy_input: PolicyInput, cfg: SmoothingConfig,
-                     rng: StreamBranch, fast) -> SmoothedDecision:
-    value, variance, m2 = fast.scripted_decision(
-        _kernel_query(policy, policy_input, cfg.sigma),
-        cfg.m1,
-        cfg.c,
-        cfg.tau,
-        cfg.m_max,
-        cfg.trim_frac,
-        rng.prefix & MASK64,
-    )
-    return SmoothedDecision(
-        value=tuple(value),
-        probe_variance=variance,
-        extra_samples=m2,
-        queries=cfg.m1 + m2,
-        failed=0,
-    )
-
-
 def smoothed_decision_detail(
     policy: PolicyFn,
     policy_input: PolicyInput,
@@ -275,9 +256,6 @@ def smoothed_decision_detail(
     domain: Domain = None,
 ) -> SmoothedDecision:
     """Two-stage smoothed decision with sampling bookkeeping."""
-    fast = _kernels.fast()
-    if fast is not None and domain is None and _kernel_dispatchable(policy):
-        return _kernel_decision(policy, policy_input, cfg, rng, fast)
     probe = sample_policy(policy, policy_input, cfg.sigma, cfg.m1, rng, domain)
     variance = estimate_variance(probe)
     m2 = adaptive_sample_count(variance, cfg)

@@ -267,6 +267,15 @@ def test_domain_rejects_bad_bounds(low, high):
         Domain(low, high)
 
 
+def test_int_bounds_become_floats():
+    dom = Domain((0, -1), (1, 1))
+    assert dom.low == (0.0, -1.0) and dom.high == (1.0, 1.0)
+    clamped = dom.clamp([-0.5, 2.5])
+    assert clamped == (0.0, 1.0)
+    for x in dom.low + dom.high + clamped:
+        assert type(x) is float
+
+
 def test_clamp_rejects_dimension_mismatch():
     with pytest.raises(InvalidArgumentError):
         UNIT_DOMAIN.clamp((0.5, 0.5))

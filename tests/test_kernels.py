@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -74,18 +76,60 @@ def _cases():
                     yield AgentPolicy(kind, halluc=halluc, domain=domain), inp, cfg
 
 
+class _KernelSpy:
+    """Stands in for the kernel module and counts sample_outputs calls.
+
+    sample_outputs is the kernel's only sampling entry, so a decision that
+    reached the kernel any other way fails with AttributeError here."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sample_outputs(self, *args):
+        self.calls += 1
+        return _kernels._fast.sample_outputs(*args)
+
+
+@pytest.fixture
+def kernel_spy(monkeypatch):
+    spy = _KernelSpy()
+    selected = _kernels.fast
+    monkeypatch.setattr(_kernels, "fast", lambda: None if selected() is None else spy)
+    return spy
+
+
 @needs_fast
-def test_fast_and_pure_decisions_are_bit_identical(restore_backend):
+def test_fast_and_pure_decisions_are_bit_identical(kernel_spy, restore_backend):
     branch = SeedSpec(2024).branch(3, 1, Purpose.VERIFY)
     mismatches = []
     for i, (policy, inp, cfg) in enumerate(_cases()):
         _kernels.use_backend("fast")
+        calls = kernel_spy.calls
         fast = smoothed_decision_detail(policy, inp, cfg, branch)
+        # one batch for the probe, one more when it buys extra samples
+        assert kernel_spy.calls == calls + 1 + (fast.extra_samples > 0), i
         _kernels.use_backend("pure")
         pure = smoothed_decision_detail(policy, inp, cfg, branch)
         if fast != pure:
             mismatches.append((i, policy.kind.tag, policy.halluc, cfg, fast, pure))
     assert not mismatches, mismatches[:3]
+
+
+@needs_fast
+def test_decisions_sample_through_the_kernel(kernel_spy, restore_backend):
+    inp = PolicyInput((0.4,), ((1, (0.6,)), (2, (0.2,))))
+    branch = SeedSpec(12).branch(1, 0, Purpose.DECIDE)
+    _kernels.use_backend("fast")
+    quiet = smoothed_decision_detail(
+        AgentPolicy(mean_aggregation(0.5)), inp, SmoothingConfig(sigma=0.0, m1=5), branch
+    )
+    assert (quiet.probe_variance, quiet.extra_samples) == (0.0, 0)
+    assert kernel_spy.calls == 1
+    noisy = smoothed_decision_detail(
+        AgentPolicy(llm_mimic(0.05)), inp, SmoothingConfig(sigma=0.05, m1=5), branch
+    )
+    assert noisy.extra_samples > 0
+    assert kernel_spy.calls == 3
 
 
 @needs_fast
@@ -137,25 +181,6 @@ def test_both_backends_reject_dimension_mismatch_identically(restore_backend):
                 entry()
             messages.append(str(err.value))
         assert messages[0] == messages[1]
-
-
-class _KernelSpy:
-    """Stands in for the kernel module and counts sample_outputs calls."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def sample_outputs(self, *args):
-        self.calls += 1
-        return _kernels._fast.sample_outputs(*args)
-
-
-@pytest.fixture
-def kernel_spy(monkeypatch):
-    spy = _KernelSpy()
-    selected = _kernels.fast
-    monkeypatch.setattr(_kernels, "fast", lambda: None if selected() is None else spy)
-    return spy
 
 
 SAMPLE_HALLUC = {
@@ -282,3 +307,31 @@ def test_requesting_missing_fast_backend_raises(monkeypatch, restore_backend):
     with pytest.raises(RuntimeError, match="not available"):
         _kernels.use_backend("fast")
     assert _kernels.active_backend() == "pure"
+
+
+def _import_kernels(backend, probe):
+    env = dict(os.environ, SMOOTHMAS_BACKEND=backend, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize(
+    "backend, hide_kernel, error",
+    [("pur", False, "ValueError"), ("FAST", False, "ValueError"), ("fast", True, "RuntimeError")],
+)
+def test_backend_variable_is_checked_at_import(backend, hide_kernel, error):
+    # a None entry in sys.modules makes `from . import _fast` fail as in a
+    # build without the kernel
+    hide = "sys.modules['smoothmas._kernels._fast'] = None; " if hide_kernel else ""
+    proc = _import_kernels(backend, f"import sys; {hide}import smoothmas._kernels")
+    assert proc.returncode != 0
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith(error), last
+    for name in ("'auto'", "'fast'", "'pure'"):
+        assert name in last, last
+
+
+@pytest.mark.parametrize("backend", ["auto", "pure"])
+def test_backend_variable_selects_mode_at_import(backend):
+    proc = _import_kernels(backend, "from smoothmas import _kernels; print(_kernels._mode)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == backend

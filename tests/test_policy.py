@@ -262,6 +262,24 @@ def test_external_llm_clamps_gateway_reply():
     assert len(gw.calls) == 1
 
 
+class _ReplyGateway:
+    def __init__(self, reply):
+        self.reply = reply
+
+    def query_decision(self, policy_input, domain):
+        return self.reply
+
+
+def test_external_llm_checks_gateway_reply():
+    inp = _inp((0.4,), [(0.6,)])
+    for reply, want in (((0,), (0.0,)), ((float("inf"),), (1.0,))):
+        out = evaluate_policy(external_llm(), inp, _stream(), gateway=_ReplyGateway(reply))
+        assert out == want and type(out[0]) is float
+    for reply in ((float("nan"),), (0.5, 0.5), ()):
+        with pytest.raises(InvalidArgumentError):
+            evaluate_policy(external_llm(), inp, _stream(), gateway=_ReplyGateway(reply))
+
+
 def test_agent_policy_callable_matches_wrapper():
     halluc = HallucinationConfig(p_h=0.3, mode="uniform-random")
     policy = AgentPolicy(llm_mimic(0.05), halluc=halluc)

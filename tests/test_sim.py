@@ -118,6 +118,34 @@ class TestDynamics:
                 assert dom.contains(state)
 
 
+    def test_int_domain_bounds_give_float_states(self):
+        # every output lands on a bound: large jumps for the decisions, a
+        # large bias on the wire; the round loop builds next-round inputs
+        # without re-validating, so the bounds must already be floats
+        dom = Domain((0,), (2,))
+        policy = AgentPolicy(
+            mean_aggregation(0.5),
+            halluc=HallucinationConfig(p_h=1.0, mode="large-jump", magnitude=5.0),
+            domain=dom,
+        )
+        for defense in (None, DEFENSE):
+            cfg = ScenarioConfig(
+                topology=ring_topology(4),
+                rounds=3,
+                policies=(policy,) * 4,
+                master_seed=5,
+                attack=AttackConfig(frozenset({0}), p_attack=1.0, delta_max=5.0),
+                defense=defense,
+                domain=dom,
+            )
+            traj = run_scenario(cfg)
+            for row in traj.states[1:]:
+                for state in row:
+                    assert all(type(x) is float for x in state), state
+                    assert dom.contains(state)
+            assert {s for row in traj.states[1:] for s in row} & {(0.0,), (2.0,)}
+
+
 class TestSeeding:
     def test_seeded_initials_deterministic(self):
         cfg = ScenarioConfig(
