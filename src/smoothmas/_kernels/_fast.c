@@ -4,7 +4,9 @@
  * One entry, sample_outputs: m perturbed policy outputs from stream index
  * start_index on, mirroring smoothing.sample_policy. Smoothed decisions (the
  * probe, the variance budget and the trimmed mean) and certificates stay in
- * Python and draw their samples here.
+ * Python and draw their samples here. On request (sort=True) the kernel also
+ * sorts its own output: one ascending column per component, which is what
+ * certificates count regions on. Decisions take the rows in stream order.
  *
  * Sampling mirrors, operation for operation, the pure path: core.Stream
  * draws and policy.evaluate_policy / policy.hallucinate_wrap arithmetic.
@@ -159,6 +161,52 @@ static void sample_range(const Query *q, u64 prefix, u64 start, size_t count, do
     }
 }
 
+/* ---- stable ascending sort of one column ---- */
+
+#define SORT_RUN 8
+
+/* Sort a[0 .. n) ascending with `<`, using buf[0 .. n) as scratch, and return
+ * whichever of the two holds the result. The sort is stable: ties, including
+ * -0.0 against 0.0, keep their input order. On NaN-free input it therefore
+ * equals Python's sorted() element for element. Insertion-sorted runs of
+ * SORT_RUN, then bottom-up merges that alternate between a and buf. */
+static double *sort_column(double *a, double *buf, size_t n)
+{
+    for (size_t lo = 0; lo < n; lo += SORT_RUN) {
+        size_t hi = n - lo < SORT_RUN ? n : lo + SORT_RUN;
+        for (size_t i = lo + 1; i < hi; i++) {
+            double x = a[i];
+            size_t j = i;
+            for (; j > lo && x < a[j - 1]; j--)
+                a[j] = a[j - 1];
+            a[j] = x;
+        }
+    }
+    double *src = a, *dst = buf;
+    for (size_t width = SORT_RUN; width < n; width *= 2) {
+        for (size_t lo = 0; lo < n; lo += 2 * width) {
+            size_t mid = n - lo < width ? n : lo + width;
+            size_t hi = n - mid < width ? n : mid + width;
+            size_t i = lo, j = mid, k = lo;
+            while (i < mid && j < hi) {
+                /* take from the right run only when strictly smaller */
+                int right = src[j] < src[i];
+                dst[k++] = right ? src[j] : src[i];
+                j += right;
+                i += !right;
+            }
+            while (i < mid)
+                dst[k++] = src[i++];
+            while (j < hi)
+                dst[k++] = src[j++];
+        }
+        double *t = src;
+        src = dst;
+        dst = t;
+    }
+    return src;
+}
+
 /* ---- Python entry points ---- */
 
 /* Copy exactly n floats out of a Python sequence. */
@@ -274,15 +322,35 @@ static double *read_query(PyObject *tuple, Query *q)
     return buf;
 }
 
-static PyObject *py_sample_outputs(PyObject *self, PyObject *args)
+/* A tuple of the n floats x[0 .. n). */
+static PyObject *float_tuple(const double *x, Py_ssize_t n)
 {
+    PyObject *tup = PyTuple_New(n);
+    if (tup == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *f = PyFloat_FromDouble(x[i]);
+        if (f == NULL) {
+            Py_DECREF(tup);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(tup, i, f);
+    }
+    return tup;
+}
+
+static PyObject *py_sample_outputs(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"query", "m", "start_index", "prefix", "sort", NULL};
     PyObject *query, *start_obj, *prefix_obj;
     Py_ssize_t m;
+    int sort = 0;
     Query q;
     u64 start, prefix;
 
-    if (!PyArg_ParseTuple(args, "O!nOO:sample_outputs", &PyTuple_Type, &query, &m, &start_obj,
-                          &prefix_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!nOO|p:sample_outputs", kwlist,
+                                     &PyTuple_Type, &query, &m, &start_obj, &prefix_obj,
+                                     &sort))
         return NULL;
     if (read_u64(start_obj, &start) < 0 || read_u64(prefix_obj, &prefix) < 0)
         return NULL;
@@ -294,38 +362,53 @@ static PyObject *py_sample_outputs(PyObject *self, PyObject *args)
     if (qbuf == NULL)
         return NULL;
 
-    const size_t k = (size_t)q.k, d = (size_t)q.d;
-    /* samples: m*d; then eval_sample's scratch */
-    double *buf = PyMem_New(double, (size_t)m * d + (k + 2) * d);
+    double *buf = NULL;
     PyObject *result = NULL;
-
+    const size_t k = (size_t)q.k, d = (size_t)q.d;
+    /* samples: m*d; eval_sample's scratch: (k+2)*d; with sort, one column and
+     * its merge buffer: 2*m. Bound m first, so that no size below wraps. */
+    const size_t limit = (size_t)PY_SSIZE_T_MAX / sizeof(double);
+    const size_t per_sample = d + (sort ? 2 : 0);
+    if (k + 2 > limit / d || (size_t)m > (limit - (k + 2) * d) / per_sample) {
+        PyErr_Format(PyExc_MemoryError, "%zd samples of dimension %d do not fit in memory", m,
+                     q.d);
+        goto done;
+    }
+    buf = PyMem_New(double, (size_t)m * per_sample + (k + 2) * d);
     if (buf == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     double *samples = buf, *scratch = samples + (size_t)m * d;
+    double *column = scratch + (k + 2) * d, *merge = column + m;
 
     Py_BEGIN_ALLOW_THREADS
     sample_range(&q, prefix, start, (size_t)m, samples, scratch);
     Py_END_ALLOW_THREADS
 
-    result = PyTuple_New(m);
-    if (result == NULL)
-        goto done;
-    for (Py_ssize_t s = 0; s < m; s++) {
-        PyObject *vec = PyTuple_New(q.d);
-        if (vec == NULL) {
-            Py_CLEAR(result);
-            goto done;
-        }
-        PyTuple_SET_ITEM(result, s, vec);
-        for (int c = 0; c < q.d; c++) {
-            PyObject *x = PyFloat_FromDouble(samples[(size_t)s * d + c]);
-            if (x == NULL) {
+    if (!sort) { /* m rows in stream order */
+        result = PyTuple_New(m);
+        for (Py_ssize_t s = 0; result != NULL && s < m; s++) {
+            PyObject *row = float_tuple(samples + (size_t)s * d, q.d);
+            if (row == NULL)
                 Py_CLEAR(result);
-                goto done;
-            }
-            PyTuple_SET_ITEM(vec, c, x);
+            else
+                PyTuple_SET_ITEM(result, s, row);
+        }
+    } else { /* d ascending columns */
+        result = PyTuple_New(q.d);
+        for (size_t c = 0; result != NULL && c < d; c++) {
+            double *sorted;
+            Py_BEGIN_ALLOW_THREADS
+            for (size_t s = 0; s < (size_t)m; s++)
+                column[s] = samples[s * d + c];
+            sorted = sort_column(column, merge, (size_t)m);
+            Py_END_ALLOW_THREADS
+            PyObject *col = float_tuple(sorted, m);
+            if (col == NULL)
+                Py_CLEAR(result);
+            else
+                PyTuple_SET_ITEM(result, (Py_ssize_t)c, col);
         }
     }
 
@@ -340,10 +423,13 @@ static PyMethodDef fast_methods[] = {
     {"fold", py_fold, METH_VARARGS, "fold(h, w); twin of core.fold."},
     {"word_at", py_word_at, METH_VARARGS, "word_at(key, i); twin of core.word_at."},
     {"uniform_at", py_uniform_at, METH_VARARGS, "uniform_at(key, i); twin of core.uniform_at."},
-    {"sample_outputs", py_sample_outputs, METH_VARARGS,
-     "sample_outputs(query, m, start_index, prefix)\n\n"
+    {"sample_outputs", (PyCFunction)(void (*)(void))py_sample_outputs,
+     METH_VARARGS | METH_KEYWORDS,
+     "sample_outputs(query, m, start_index, prefix, sort=False)\n\n"
      "Perturbed outputs of the scripted policy for stream indices\n"
-     "start_index .. start_index + m - 1: a tuple of m d-tuples."},
+     "start_index .. start_index + m - 1: a tuple of m d-tuples in stream\n"
+     "order or, with sort true, d tuples (one per component) of m values in\n"
+     "ascending order, stable, as sorted() orders them."},
     {NULL, NULL, 0, NULL},
 };
 

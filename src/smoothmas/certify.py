@@ -183,8 +183,11 @@ def certify_decision(
 
     The leading region R_A is the empirical argmax (ties break toward the
     lower index); pB_upper is the tighter of 1 - pA_lower and the runner-up's
-    own upper bound. The n samples come from one sample_policy batch, so a
-    scripted policy is sampled by the compiled kernel when it is active.
+    own upper bound. The n samples come from one sorted sample_policy batch:
+    a scripted policy is sampled by the compiled kernel when it is active, and
+    the kernel returns the outputs as an ascending column, so counting the
+    regions re-sorts nothing. Samples a policy failed to give are left out of
+    the counts and of n_samples.
     """
     _require(policy_input.dimension == 1, "certification works on 1-D decisions")
     _require(n >= 2, f"need n >= 2 samples, got {n}")
@@ -196,9 +199,9 @@ def certify_decision(
     if check_domain is not None:
         _require(partition.covers(check_domain), "partition does not cover the domain")
 
-    batch = sample_policy(policy, policy_input, sigma, n, rng, domain)
-    counts = partition.counts([sample[0] for sample in batch.samples])
-    n_eff = len(batch.samples)
+    batch = sample_policy(policy, policy_input, sigma, n, rng, domain, sort=True)
+    counts = partition.counts(batch.columns[0])
+    n_eff = batch.requested - batch.failed
 
     region = counts.index(max(counts))
     runner = min(

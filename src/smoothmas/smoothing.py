@@ -11,9 +11,11 @@ neighbor's own smoothed decision, and smoothing the agent's own update.
 
 The two-stage algorithm exists only here. The compiled kernel, when it is
 available, serves sampling alone: `sample_policy` hands batches of a scripted
-policy to it and is the one place that dispatches. Variance, budget and
-trimmed mean run in Python on every backend. The generic sampling loop below
-is the reference and the fallback, and both produce bit-identical samples.
+policy to it and is the one place that dispatches. On request the kernel also
+sorts its own output into columns, which certificates count regions on.
+Variance, budget and trimmed mean run in Python on every backend. The generic
+sampling loop below is the reference and the fallback, and both produce
+bit-identical samples and columns.
 """
 
 from __future__ import annotations
@@ -71,11 +73,19 @@ class SmoothingConfig:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Outputs of repeated perturbed policy queries."""
+    """Outputs of repeated perturbed policy queries.
+
+    A batch holds its usable outputs one of two ways. By default, samples
+    has them as rows in stream order and columns is empty. Sampled with
+    sort=True, samples is empty and columns has one tuple per output
+    component, holding that component of every usable output in ascending
+    order as sorted() orders it; the compiled kernel sorts its own output.
+    """
 
     samples: tuple[StateVec, ...]
     requested: int
     failed: int
+    columns: tuple[tuple[float, ...], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,7 @@ class SmoothedDecision:
 
 def trim_mean(samples: list[StateVec] | tuple[StateVec, ...], trim_frac: float) -> StateVec:
     """Component-wise trimmed mean: sort, drop floor(trim_frac*n) from each
-    tail, average the rest."""
+    tail, average the rest, and clamp that average to the kept values' range."""
     _require(len(samples) >= 1, "trim_mean needs at least one sample")
     _require(0.0 <= trim_frac < 1.0, "trim_frac must be in [0, 1)")
     n = len(samples)
@@ -106,7 +116,13 @@ def trim_mean(samples: list[StateVec] | tuple[StateVec, ...], trim_frac: float) 
         acc = 0.0
         for v in column[g : n - g]:
             acc += v
-        out.append(acc / (n - 2 * g))
+        # the exact mean lies in the kept range; its float value can miss by an ulp
+        mean = acc / (n - 2 * g)
+        if mean < column[g]:
+            mean = column[g]
+        elif mean > column[n - g - 1]:
+            mean = column[n - g - 1]
+        out.append(mean)
     return tuple(out)
 
 
@@ -132,6 +148,7 @@ def sample_policy(
     rng: StreamBranch,
     domain: Domain = None,
     start_index: int = 0,
+    sort: bool = False,
 ) -> SampleBatch:
     """Evaluate the policy on m independently perturbed copies of the input.
 
@@ -141,20 +158,29 @@ def sample_policy(
     with PolicyUnavailableError is recorded and excluded; if any failed and
     fewer than max(2, m/2) remain the whole batch is abandoned.
 
+    The usable outputs come back as rows in stream order (batch.samples), or
+    with sort=True as ascending columns, one per component (batch.columns).
+    Decisions need the rows: estimate_variance sums in stream order.
+
     A scripted policy with no explicit domain is sampled by the compiled
-    kernel when it is active, with bit-identical outputs.
+    kernel when it is active, with bit-identical outputs; with sort=True the
+    kernel sorts them as well, stably, so each column equals sorted() of that
+    component element for element.
     """
     _require(m >= 1, "sample count m must be >= 1")
     _require(sigma >= 0.0, "sigma must be >= 0")
     fast = _kernels.fast()
     if fast is not None and domain is None and _kernel_dispatchable(policy):
-        samples = fast.sample_outputs(
+        out = fast.sample_outputs(
             _kernel_query(policy, policy_input, sigma),
             m,
             start_index & MASK64,
             rng.prefix & MASK64,
+            sort,
         )
-        return SampleBatch(samples, requested=m, failed=0)
+        if sort:
+            return SampleBatch((), requested=m, failed=0, columns=out)
+        return SampleBatch(out, requested=m, failed=0)
     if domain is None:
         domain = policy.domain if isinstance(policy, AgentPolicy) else None
         _require(domain is not None, "sample_policy needs a domain for bare callables")
@@ -174,14 +200,22 @@ def sample_policy(
         raise SamplingFailedError(
             f"only {len(outputs)} of {m} samples usable ({failed} failed): {errors}"
         )
+    if sort:
+        columns = tuple(tuple(sorted(s[c] for s in outputs)) for c in range(len(outputs[0])))
+        return SampleBatch((), requested=m, failed=failed, columns=columns)
     return SampleBatch(tuple(outputs), requested=m, failed=failed)
 
 
 def estimate_variance(batch: SampleBatch) -> float:
-    """Mean squared L2 distance of samples to their mean (biased, 1/m)."""
+    """Mean squared L2 distance of samples to their mean (biased, 1/m).
+
+    Exactly 0.0 when every sample is equal, although the float mean of m
+    copies of x need not be x."""
     samples = batch.samples
     _require(len(samples) >= 1, "variance probe needs at least one sample")
     m = len(samples)
+    if samples.count(samples[0]) == m:
+        return 0.0
     d = len(samples[0])
     means = []
     for c in range(d):

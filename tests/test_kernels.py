@@ -80,14 +80,17 @@ class _KernelSpy:
     """Stands in for the kernel module and counts sample_outputs calls.
 
     sample_outputs is the kernel's only sampling entry, so a decision that
-    reached the kernel any other way fails with AttributeError here."""
+    reached the kernel any other way fails with AttributeError here. sorts
+    records the sort flag of every call."""
 
     def __init__(self):
         self.calls = 0
+        self.sorts = []
 
-    def sample_outputs(self, *args):
+    def sample_outputs(self, query, m, start_index, prefix, sort=False):
         self.calls += 1
-        return _kernels._fast.sample_outputs(*args)
+        self.sorts.append(sort)
+        return _kernels._fast.sample_outputs(query, m, start_index, prefix, sort)
 
 
 @pytest.fixture
@@ -130,6 +133,8 @@ def test_decisions_sample_through_the_kernel(kernel_spy, restore_backend):
     )
     assert noisy.extra_samples > 0
     assert kernel_spy.calls == 3
+    # decisions take their rows in stream order: estimate_variance sums in it
+    assert kernel_spy.sorts == [False] * 3
 
 
 @needs_fast
@@ -200,24 +205,101 @@ SAMPLE_INPUTS = {
 }
 
 
+def _hex_columns(columns):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [[x.hex() for x in column] for column in columns]
+
+
+def _sorted_hex_columns(samples):
+    return _hex_columns(sorted(column) for column in zip(*samples))
+
+
 @needs_fast
 @pytest.mark.parametrize("halluc", sorted(SAMPLE_HALLUC))
 @pytest.mark.parametrize("d,k", sorted(SAMPLE_INPUTS))
 @pytest.mark.parametrize("start_index", [0, 7, core.MASK64])
 def test_sample_policy_backends_agree(halluc, d, k, start_index, kernel_spy, restore_backend):
+    # both sort modes run in one test: the columns are checked against the
+    # rows that the unsorted call drew
     domain = UNIT_DOMAIN if d == 1 else DOM3
     inp = SAMPLE_INPUTS[(d, k)]
     branch = SeedSpec(31).branch(2, k, Purpose.CERTIFY)
     for kind in (mean_aggregation(0.3), llm_mimic(0.05, 0.6)):
         policy = AgentPolicy(kind, halluc=SAMPLE_HALLUC[halluc](d), domain=domain)
         for sigma in (0.0, 0.2):
-            calls = kernel_spy.calls
-            _kernels.use_backend("pure")
-            pure = sample_policy(policy, inp, sigma, 40, branch, start_index=start_index)
-            _kernels.use_backend("fast")
-            fast = sample_policy(policy, inp, sigma, 40, branch, start_index=start_index)
-            assert kernel_spy.calls == calls + 1
-            assert fast == pure, (kind, sigma)
+            rows = None
+            for sort in (False, True):
+                calls = kernel_spy.calls
+                _kernels.use_backend("pure")
+                pure = sample_policy(
+                    policy, inp, sigma, 40, branch, start_index=start_index, sort=sort
+                )
+                _kernels.use_backend("fast")
+                fast = sample_policy(
+                    policy, inp, sigma, 40, branch, start_index=start_index, sort=sort
+                )
+                assert kernel_spy.calls == calls + 1
+                assert kernel_spy.sorts[-1] == sort
+                assert fast == pure, (kind, sigma, sort)
+                if not sort:
+                    rows = fast.samples
+                    assert fast.columns == ()
+                    continue
+                assert fast.samples == ()
+                assert _hex_columns(fast.columns) == _hex_columns(pure.columns)
+                assert _hex_columns(fast.columns) == _sorted_hex_columns(rows)
+
+
+@needs_fast
+def test_sorted_columns_keep_signed_zeros_in_stream_order(restore_backend):
+    # sigma = 0 adds +0.0 or -0.0 to -0.0 by the sign of each Gaussian draw;
+    # a stable sort keeps the two zeros, equal under <, in stream order
+    policy = AgentPolicy(mean_aggregation(0.5))
+    inp = PolicyInput((-0.0,), ())
+    branch = SeedSpec(4).branch(0, 0, Purpose.CERTIFY)
+    for mode in ("pure", "fast"):
+        _kernels.use_backend(mode)
+        rows = sample_policy(policy, inp, 0.0, 64, branch).samples
+        assert {x.hex() for (x,) in rows} == {"0x0.0p+0", "-0x0.0p+0"}, mode
+        columns = sample_policy(policy, inp, 0.0, 64, branch, sort=True).columns
+        assert _hex_columns(columns) == [[x.hex() for (x,) in rows]], mode
+        assert _hex_columns(columns) == _sorted_hex_columns(rows), mode
+
+
+@needs_fast
+def test_certificate_samples_once_and_sorted(kernel_spy, restore_backend):
+    policy = AgentPolicy(llm_mimic(0.05), halluc=HallucinationConfig(p_h=0.2))
+    inp = SAMPLE_INPUTS[(1, 2)]
+    branch = SeedSpec(6).branch(0, 2, Purpose.CERTIFY)
+    _kernels.use_backend("fast")
+    cert = certify_decision(policy, inp, uniform_partition(UNIT_DOMAIN), 0.1, 500, 0.01, branch)
+    assert kernel_spy.sorts == [True]
+    assert cert.n_samples == 500
+
+
+@needs_fast
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("sort", [False, True])
+def test_oversized_batch_raises_memory_error(d, sort):
+    # 2**62 samples of dimension 4 overflow a naive 64-bit buffer size; run
+    # in a child so that a regression crashes the child, not the suite
+    probe = (
+        "from smoothmas import _kernels\n"
+        "from smoothmas.core import Purpose, SeedSpec, box_domain\n"
+        "from smoothmas.policy import AgentPolicy, PolicyInput, mean_aggregation\n"
+        "from smoothmas.smoothing import sample_policy\n"
+        f"d = {d}\n"
+        "policy = AgentPolicy(mean_aggregation(0.5), domain=box_domain((1.0,) * d))\n"
+        "branch = SeedSpec(0).branch(0, 0, Purpose.CERTIFY)\n"
+        "try:\n"
+        "    sample_policy(policy, PolicyInput((0.5,) * d, ()), 0.1, 2**62, branch,\n"
+        f"                  sort={sort})\n"
+        "except MemoryError:\n"
+        "    print('MemoryError')\n"
+    )
+    proc = _import_kernels("fast", probe)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert proc.stdout.strip() == "MemoryError"
 
 
 @needs_fast

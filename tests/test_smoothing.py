@@ -98,6 +98,21 @@ def test_trim_mean_rejects_mixed_dimensions():
         trim_mean([(0.5,), (0.5, 0.5)], 0.0)
 
 
+def test_trim_mean_stays_inside_the_kept_samples():
+    # the float mean of three copies of 0.1 is 0.10000000000000002
+    assert trim_mean(_vecs(0.1, 0.1, 0.1), 0.0) == (0.1,)
+    assert trim_mean(_vecs(0.0, 0.1, 0.1, 0.1, 5.0), 0.2) == (0.1,)
+    domain = Domain((0.0,), (0.1,))
+    detail = smoothed_decision_detail(
+        AgentPolicy(mean_aggregation(), domain=domain),
+        PolicyInput((0.1,), ()),
+        SmoothingConfig(sigma=0.0, m1=3, m_max=0),
+        _branch(),
+    )
+    assert detail.value == (0.1,)
+    assert domain.contains(detail.value)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     values=st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=30),
@@ -187,7 +202,8 @@ def test_negative_sigma_rejected():
 
 
 class _FlakyPolicy:
-    """Fails with PolicyUnavailableError on chosen call indices."""
+    """Fails with PolicyUnavailableError on chosen call indices; call k
+    otherwise returns 1 / (k + 1)."""
 
     def __init__(self, fail_on):
         self.fail_on = set(fail_on)
@@ -198,7 +214,7 @@ class _FlakyPolicy:
         self.calls += 1
         if k in self.fail_on:
             raise PolicyUnavailableError("endpoint down")
-        return (0.5,)
+        return (1.0 / (k + 1),)
 
 
 def test_survivable_failures_are_recorded():
@@ -207,6 +223,22 @@ def test_survivable_failures_are_recorded():
     assert batch.failed == 2
     assert batch.requested == 5
     assert len(batch.samples) == 3
+
+
+def test_sorted_batch_holds_only_usable_samples():
+    policy = _FlakyPolicy(fail_on={1, 3})
+    batch = sample_policy(policy, _inp(), 0.0, 5, _branch(), domain=UNIT_DOMAIN, sort=True)
+    assert batch.samples == ()
+    assert batch.columns == ((1.0 / 5, 1.0 / 3, 1.0),)
+    assert batch.requested - batch.failed == len(batch.columns[0])
+
+
+def test_sorted_columns_are_the_sorted_rows():
+    values = [(0.3, 0.1), (0.1, 0.2), (0.2, 0.1), (0.1, 0.0)]
+    domain = Domain((0.0, 0.0), (1.0, 1.0))
+    inp = PolicyInput((0.5, 0.5), ())
+    batch = sample_policy(_SequencePolicy(values), inp, 0.0, 4, _branch(), domain, sort=True)
+    assert batch.columns == ((0.1, 0.1, 0.2, 0.3), (0.0, 0.1, 0.1, 0.2))
 
 
 def test_half_survivors_is_the_cliff():
@@ -249,6 +281,22 @@ class _SequencePolicy:
 
 def test_variance_of_constant_samples_is_zero():
     assert estimate_variance(_batch(0.5, 0.5, 0.5)) == 0.0
+
+
+def test_variance_of_repeated_inexact_value_is_zero():
+    # the float mean of three copies of 0.1 is not 0.1; the spread still is 0
+    assert estimate_variance(_batch(0.1, 0.1, 0.1)) == 0.0
+    assert estimate_variance(_batch((0.1, 0.7), (0.1, 0.7), (0.1, 0.7))) == 0.0
+
+
+def test_quiet_probe_of_inexact_value_buys_nothing():
+    detail = smoothed_decision_detail(
+        AgentPolicy(mean_aggregation()),
+        PolicyInput((0.1,), ()),
+        SmoothingConfig(sigma=0.0, m1=3, m_max=20),
+        _branch(),
+    )
+    assert (detail.probe_variance, detail.extra_samples, detail.queries) == (0.0, 0, 3)
 
 
 def test_variance_of_two_point_spread():
