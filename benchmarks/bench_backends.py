@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Compare the compiled sampling kernel against the pure-Python fallback.
 
-The kernel only draws sample batches (smoothing.sample_policy) and, for
-certificates, sorts them into columns; the two-stage decision and the
-certificate run the same Python code on both backends. Times smoothed_decision on representative policy/config
+The kernel draws sample batches (smoothing.sample_policy) and, for
+certificates, sorts them into columns; under the fast backend it also derives
+stream keys and uniform draws for the Python code (core._fold and
+core._uniform_at). The two-stage decision and the certificate run the same
+Python code on both backends. Times smoothed_decision on representative policy/config
 combinations, a 2000-sample certificate and a full defended ring scenario,
 once per backend, and checks that both backends produce bit-identical
 results (certificates included) while doing so.

@@ -1,4 +1,10 @@
-"""Selection between the compiled sampling kernel and the pure-Python path.
+"""Selection between the compiled kernel and the pure-Python path.
+
+The kernel serves sampling (`sample_outputs`, through `fast()`) and stream-key
+derivation: `use_backend` binds `core._fold` and `core._uniform_at`, which
+every stream key and uniform draw go through, to the kernel's `fold` and
+`uniform_at` twins when the fast backend is active, and to core's own pure
+functions otherwise. It is the only place that selects a backend.
 
 The compiled module is optional; when it failed to build (or is disabled via
 SMOOTHMAS_BACKEND=pure) callers get None from `fast()` and run the generic
@@ -12,6 +18,8 @@ SMOOTHMAS_BACKEND selects the mode at import, under the same rules as
 from __future__ import annotations
 
 import os
+
+from .. import core
 
 try:
     from . import _fast
@@ -33,6 +41,9 @@ def use_backend(mode: str) -> None:
         )
     global _mode
     _mode = mode
+    twins = _fast if active_backend() == "fast" else core
+    core._fold = twins.fold
+    core._uniform_at = twins.uniform_at
 
 
 def active_backend() -> str:

@@ -1,12 +1,18 @@
 /*
- * Sampling kernel for scripted policies.
+ * Sampling kernel for scripted policies, and the stream primitives.
  *
- * One entry, sample_outputs: m perturbed policy outputs from stream index
- * start_index on, mirroring smoothing.sample_policy. Smoothed decisions (the
- * probe, the variance budget and the trimmed mean) and certificates stay in
- * Python and draw their samples here. On request (sort=True) the kernel also
- * sorts its own output: one ascending column per component, which is what
- * certificates count regions on. Decisions take the rows in stream order.
+ * One sampling entry, sample_outputs: m perturbed policy outputs from stream
+ * index start_index on, mirroring smoothing.sample_policy. Smoothed decisions
+ * (the probe, the variance budget and the trimmed mean) and certificates stay
+ * in Python and draw their samples here. On request (sort=True) the kernel
+ * also sorts its own output: one ascending column per component, which is
+ * what certificates count regions on. Decisions take the rows in stream order.
+ *
+ * The twins mix64, fold, word_at and uniform_at mirror core's functions of
+ * the same names. Under the fast backend, _kernels binds core's stream-key
+ * derivation and uniform draws to fold and uniform_at. Like core, they are
+ * total on Python ints: every argument is reduced modulo 2^64, so negative
+ * and oversized words give core's values instead of raising.
  *
  * Sampling mirrors, operation for operation, the pure path: core.Stream
  * draws and policy.evaluate_policy / policy.hallucinate_wrap arithmetic.
@@ -233,9 +239,10 @@ static int read_doubles(PyObject *obj, const char *name, Py_ssize_t n, double *d
     return 0;
 }
 
+/* Any Python int, reduced modulo 2^64 as core's `& MASK64` reduces it. */
 static int read_u64(PyObject *obj, u64 *out)
 {
-    unsigned long long v = PyLong_AsUnsignedLongLong(obj);
+    unsigned long long v = PyLong_AsUnsignedLongLongMask(obj);
     if (v == (unsigned long long)-1 && PyErr_Occurred())
         return -1;
     *out = (u64)v;

@@ -7,7 +7,11 @@ evaluates it. That is what makes snapshot re-evaluation bit-reproducible in
 any evaluation order, and from concurrent callers.
 
 The integer mixing here is mirrored verbatim in the compiled kernel
-(`smoothmas._kernels._fast`); change one and you must change both.
+(`smoothmas._kernels._fast`); change one and you must change both. The
+functions below are the pure reference. When the fast backend is active,
+`_kernels.use_backend` binds `_fold` and `_uniform_at`, which derive every
+stream key and uniform draw, to the kernel's bit-identical twins; otherwise
+they are `fold` and `uniform_at` themselves.
 """
 
 from __future__ import annotations
@@ -83,6 +87,12 @@ def uniform_at(key: int, i: int) -> float:
     return (word_at(key, i) >> 11) * _INV_2_53
 
 
+# What streams derive keys and draw uniforms with; rebound by
+# `_kernels.use_backend` to the kernel's twins under the fast backend.
+_fold = fold
+_uniform_at = uniform_at
+
+
 class Purpose(enum.IntEnum):
     """Why a stream exists; part of the derivation path."""
 
@@ -107,13 +117,13 @@ class Stream:
         self.cursor = 0
 
     def next_uniform(self) -> float:
-        u = uniform_at(self.key, self.cursor)
+        u = _uniform_at(self.key, self.cursor)
         self.cursor += 1
         return u
 
     def next_gaussian(self) -> float:
-        u1 = uniform_at(self.key, self.cursor)
-        u2 = uniform_at(self.key, self.cursor + 1)
+        u1 = _uniform_at(self.key, self.cursor)
+        u2 = _uniform_at(self.key, self.cursor + 1)
         self.cursor += 2
         r = math.sqrt(-2.0 * math.log(1.0 - u1))
         return r * math.cos(_TWO_PI * u2)
@@ -129,10 +139,7 @@ class StreamBranch:
     prefix: int
 
     def stream(self, index: int) -> Stream:
-        return Stream(fold(self.prefix, index))
-
-    def child(self, index: int) -> "StreamBranch":
-        return StreamBranch(fold(self.prefix, index))
+        return Stream(_fold(self.prefix, index))
 
 
 @dataclass(frozen=True)
@@ -141,14 +148,15 @@ class SeedSpec:
 
     master_seed: int
 
-    def _root(self) -> int:
-        return fold(_SEED_ROOT, self.master_seed)
+    def __post_init__(self):
+        # Derived from `master_seed`, so it is not a dataclass field and stays
+        # out of equality, hashing and repr.
+        object.__setattr__(self, "_root", _fold(_SEED_ROOT, self.master_seed))
 
     def branch(self, round_index: int, agent: int, purpose: Purpose) -> StreamBranch:
-        h = self._root()
-        h = fold(h, round_index)
-        h = fold(h, agent)
-        h = fold(h, int(purpose))
+        h = _fold(self._root, round_index)
+        h = _fold(h, agent)
+        h = _fold(h, int(purpose))
         return StreamBranch(h)
 
     def stream(self, round_index: int, agent: int, purpose: Purpose, index: int) -> Stream:

@@ -59,13 +59,15 @@ def improvement_pct(no_def_avg: float, def_avg: float) -> Optional[float]:
 def consensus_error(states: States) -> float:
     """Largest pairwise L2 distance between agent states."""
     _require(len(states) >= 2, "consensus error needs at least two agents")
+    # Compare squared gaps and take one square root: a correctly rounded sqrt
+    # is monotone, so this equals the largest of the per-pair magnitudes.
     worst = 0.0
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            gap = magnitude(tuple(a - b for a, b in zip(states[i], states[j])))
-            if gap > worst:
-                worst = gap
-    return worst
+    for i, a in enumerate(states):
+        for b in states[i + 1:]:
+            squared = sum((x - y) * (x - y) for x, y in zip(a, b))
+            if squared > worst:
+                worst = squared
+    return math.sqrt(worst)
 
 
 def mean_state(states: States, agents: Optional[Iterable[int]] = None) -> StateVec:

@@ -10,8 +10,10 @@ Used at two levels: verifying a neighbor's report by re-deriving it from the
 neighbor's own smoothed decision, and smoothing the agent's own update.
 
 The two-stage algorithm exists only here. The compiled kernel, when it is
-available, serves sampling alone: `sample_policy` hands batches of a scripted
-policy to it and is the one place that dispatches. On request the kernel also
+available, serves sampling: `sample_policy` hands batches of a scripted
+policy to it and is the one place that dispatches them. (Stream keys and
+uniform draws, here and elsewhere, reach the kernel's twins through `core`,
+where `_kernels.use_backend` binds them.) On request the kernel also
 sorts its own output into columns, which certificates count regions on.
 Variance, budget and trimmed mean run in Python on every backend. The generic
 sampling loop below is the reference and the fallback, and both produce

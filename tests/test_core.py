@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from smoothmas import core
 from smoothmas.core import (
     Domain,
     InvalidAgentError,
@@ -189,6 +190,34 @@ def test_gaussian_draws_have_sane_moments():
     assert abs(statistics.fmean(draws)) < 0.03
     assert abs(statistics.pstdev(draws) - 1.0) < 0.03
     assert all(math.isfinite(x) for x in draws)
+
+
+def test_seed_spec_identity_depends_on_master_seed_only():
+    a, b = SeedSpec(7), SeedSpec(7)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "SeedSpec(master_seed=7)"
+    assert a != SeedSpec(8)
+    # the cached root key stays out of identity: a spec that differs only in
+    # it is still equal to, and hashes and prints like, the original
+    c = SeedSpec(7)
+    object.__setattr__(c, "_root", 0)
+    assert c == a and hash(c) == hash(a) and repr(c) == repr(a)
+
+
+@pytest.mark.parametrize("seed", [0, 1234, -5, -(1 << 63), 1 << 64, (1 << 64) + 3])
+def test_branch_keys_follow_the_pure_derivation(seed):
+    # (master_seed, round, agent, purpose) folded from the root, in that order,
+    # with core's reference fold; words outside [0, 2^64) are reduced mod 2^64
+    spec = SeedSpec(seed)
+    for path in ((0, 0, Purpose.INIT), (7, 3, Purpose.TRANSMIT), (2, 9, Purpose.CERTIFY)):
+        h = core.fold(core._SEED_ROOT, seed)
+        for word in path:
+            h = core.fold(h, int(word))
+        assert spec.branch(*path).prefix == h
+        assert spec.stream(*path, 5).key == core.fold(h, 5)
+    assert SeedSpec(seed).branch(1, 2, Purpose.DECIDE) == SeedSpec(
+        seed & core.MASK64
+    ).branch(1, 2, Purpose.DECIDE)
 
 
 def test_interleaved_draw_types_stay_deterministic():

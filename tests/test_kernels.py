@@ -80,7 +80,9 @@ class _KernelSpy:
     """Stands in for the kernel module and counts sample_outputs calls.
 
     sample_outputs is the kernel's only sampling entry, so a decision that
-    reached the kernel any other way fails with AttributeError here. sorts
+    sampled on the kernel any other way fails with AttributeError here. The
+    stream twins (fold, uniform_at) are bound into core by use_backend, not
+    reached through fast(), so the spy neither sees nor blocks them. sorts
     records the sort flag of every call."""
 
     def __init__(self):
@@ -338,8 +340,11 @@ def test_certificates_on_boundaries_match_across_backends(restore_backend):
         assert certs[0] == certs[1], i
 
 
-BOUNDARY_WORDS = (0, 1, 1 << 63, core.MASK64, core._GAMMA)
-U64 = st.integers(min_value=0, max_value=core.MASK64)
+# Words outside [0, 2^64) included: both sides reduce them mod 2^64.
+BOUNDARY_WORDS = (
+    0, 1, 1 << 63, core.MASK64, core._GAMMA, -1, -(1 << 63), 1 << 64, (1 << 64) + 5,
+)
+WORDS = st.integers(min_value=-(1 << 80), max_value=1 << 80)
 
 
 def _assert_twins_match(a, b):
@@ -359,9 +364,50 @@ def test_stream_twins_match_core_on_boundary_words():
 
 
 @needs_fast
-@given(U64, U64)
+@given(WORDS, WORDS)
 def test_stream_twins_match_core(a, b):
     _assert_twins_match(a, b)
+
+
+class _RaisingTwins:
+    """Stands in for the kernel module; reaching a stream twin fails."""
+
+    def fold(self, h, w):
+        raise AssertionError("fold reached the kernel")
+
+    def uniform_at(self, key, i):
+        raise AssertionError("uniform_at reached the kernel")
+
+
+def _draw():
+    stream = SeedSpec(3).branch(1, 2, Purpose.DECIDE).stream(4)
+    return stream.next_uniform(), stream.next_gaussian()
+
+
+def test_pure_backend_keeps_stream_draws_off_the_kernel(monkeypatch, restore_backend):
+    expected = _draw()
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "_fast", _RaisingTwins())
+        _kernels.use_backend("pure")
+        assert (core._fold, core._uniform_at) == (core.fold, core.uniform_at)
+        assert _draw() == expected
+        _kernels.use_backend("fast")
+        with pytest.raises(AssertionError, match="fold reached"):
+            _draw()
+        with pytest.raises(AssertionError, match="uniform_at reached"):
+            core.Stream(5).next_uniform()
+
+
+@needs_fast
+def test_fast_backend_derives_streams_on_the_kernel(restore_backend):
+    fast = _kernels._fast
+    for mode in ("fast", "auto"):
+        _kernels.use_backend(mode)
+        assert (core._fold, core._uniform_at) == (fast.fold, fast.uniform_at)
+    fast_draws = _draw()
+    _kernels.use_backend("pure")
+    assert (core._fold, core._uniform_at) == (core.fold, core.uniform_at)
+    assert _draw() == fast_draws
 
 
 def test_invalid_backend_name_rejected():
@@ -384,7 +430,7 @@ def test_fast_backend_selectable_when_built(restore_backend):
     assert _kernels.fast() is not None
 
 
-def test_requesting_missing_fast_backend_raises(monkeypatch, restore_backend):
+def test_requesting_missing_fast_backend_raises(restore_backend, monkeypatch):
     monkeypatch.setattr(_kernels, "_fast", None)
     with pytest.raises(RuntimeError, match="not available"):
         _kernels.use_backend("fast")

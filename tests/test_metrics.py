@@ -101,6 +101,33 @@ def test_consensus_error_l2_in_3d():
     assert consensus_error(states) == pytest.approx(3.0)
 
 
+def _consensus_error_per_pair(states):
+    # the formula consensus_error replaced: one magnitude per pair
+    worst = 0.0
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            gap = math.sqrt(sum(x * x for x in tuple(a - b for a, b in zip(states[i], states[j]))))
+            if gap > worst:
+                worst = gap
+    return worst
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_consensus_error_equals_per_pair_magnitudes(d):
+    rng = random.Random(d)
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        # one scale per state, so pairs span many magnitudes and nearly tie
+        states = []
+        for _ in range(n):
+            scale = 10.0 ** rng.uniform(-20, 3)
+            states.append(tuple(rng.uniform(-scale, scale) for _ in range(d)))
+        if rng.random() < 0.2:
+            states.append(states[0])
+        got = consensus_error(states)
+        assert got.hex() == _consensus_error_per_pair(states).hex(), states
+
+
 def test_consensus_error_needs_two_agents():
     with pytest.raises(InvalidArgumentError):
         consensus_error([(0.5,)])

@@ -1,5 +1,6 @@
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -245,6 +246,26 @@ class TestScheduleInvariance:
         finally:
             _kernels.use_backend("auto")
         assert pure == fast
+
+    @pytest.mark.parametrize("seed", [-5, 2**64 + 3])
+    def test_backends_agree_on_seeds_outside_64_bits(self, seed):
+        # master seeds are any int: the kernel's stream primitives reduce them
+        # mod 2^64, as core's do, instead of raising
+        if _kernels._fast is None and os.environ.get("SMOOTHMAS_REQUIRE_FAST") != "1":
+            pytest.skip("compiled kernels not built")
+        cfg = replace(
+            _attacked(5, {1}, rounds=4, defense=DEFENSE, seed=seed, p_attack=0.5),
+            initial_states=None,
+        )
+        try:
+            _kernels.use_backend("pure")
+            pure = run_scenario(cfg)
+            _kernels.use_backend("fast")
+            fast = run_scenario(cfg)
+        finally:
+            _kernels.use_backend("auto")
+        assert pure == fast
+        assert pure.states[0] != run_scenario(replace(cfg, master_seed=seed + 1)).states[0]
 
 
 class TestDefenseEffect:
