@@ -43,7 +43,6 @@ from .smoothing import (
     smoothed_decision,
     smoothed_decision_detail,
     trim_mean,
-    verified_neighbor_state,
 )
 from .certify import (
     Certificate,

@@ -1,17 +1,19 @@
 """Selection between the compiled kernel and the pure-Python path.
 
 The kernel serves sampling (`sample_outputs`, through `fast()`) and stream-key
-derivation: `use_backend` binds `core._fold` and `core._uniform_at`, which
-every stream key and uniform draw go through, to the kernel's `fold` and
-`uniform_at` twins when the fast backend is active, and to core's own pure
-functions otherwise. It is the only place that selects a backend.
+derivation (its `fold` and `uniform_at` twins, which every stream key and
+uniform draw go through). `use_backend` is the only place that selects a
+backend, and it resolves the selection once: it stores the kernel module, or
+None for the pure path, which `fast()` and `active_backend()` then read, and
+it binds `core._fold` and `core._uniform_at` from the same module, or to
+core's own pure functions.
 
 The compiled module is optional; when it failed to build (or is disabled via
 SMOOTHMAS_BACKEND=pure) callers get None from `fast()` and run the generic
 Python implementation instead. Both paths are bit-identical by contract and
 tested as such.
 
-SMOOTHMAS_BACKEND selects the mode at import, under the same rules as
+SMOOTHMAS_BACKEND selects the backend at import, under the same rules as
 `use_backend`: an unknown name, or 'fast' without a built kernel, raises.
 """
 
@@ -27,11 +29,14 @@ except ImportError:  # pragma: no cover - depends on build environment
     _fast = None  # type: ignore[assignment]
 
 _VALID = ("auto", "fast", "pure")
-_mode = "auto"
+_selected = None
 
 
 def use_backend(mode: str) -> None:
-    """Force 'fast' or 'pure', or restore 'auto'. Raises if 'fast' is absent."""
+    """Select 'fast' or 'pure', or 'auto' (the kernel when it is built).
+
+    Raises, leaving the selection unchanged, on an unknown name or on 'fast'
+    without a built kernel."""
     if mode not in _VALID:
         raise ValueError(f"backend must be one of {_VALID}, got {mode!r}")
     if mode == "fast" and _fast is None:
@@ -39,22 +44,20 @@ def use_backend(mode: str) -> None:
             "backend 'fast' needs the compiled kernel, which is not available "
             "in this build; use 'auto' or 'pure'"
         )
-    global _mode
-    _mode = mode
-    twins = _fast if active_backend() == "fast" else core
+    global _selected
+    _selected = None if mode == "pure" else _fast
+    twins = core if _selected is None else _selected
     core._fold = twins.fold
     core._uniform_at = twins.uniform_at
 
 
 def active_backend() -> str:
-    if _mode == "pure" or _fast is None:
-        return "pure"
-    return "fast"
+    return "pure" if _selected is None else "fast"
 
 
 def fast():
     """The compiled module, or None when the pure path should be used."""
-    return _fast if active_backend() == "fast" else None
+    return _selected
 
 
 use_backend(os.environ.get("SMOOTHMAS_BACKEND", "auto"))

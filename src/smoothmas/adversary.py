@@ -14,8 +14,8 @@ strategy and dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .core import Domain, StateVec, Stream, UNIT_DOMAIN, _require, as_state
 
@@ -27,11 +27,7 @@ _STRATEGIES = (CONSTANT_BIAS, UNIFORM_BOUNDED, OSCILLATING)
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Who lies, how often, and what the lie looks like.
-
-    `schedule`, when given, maps a round index to that round's manipulation
-    probability and overrides the constant `p_attack`.
-    """
+    """Who lies, how often, and what the lie looks like."""
 
     malicious: frozenset[int]
     p_attack: float
@@ -39,7 +35,6 @@ class AttackConfig:
     strategy: str = CONSTANT_BIAS
     bias_sign: int = 1
     period: int = 10
-    schedule: Optional[Callable[[int], float]] = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "malicious", frozenset(int(a) for a in self.malicious))
@@ -50,11 +45,6 @@ class AttackConfig:
         _require(self.strategy in _STRATEGIES, f"unknown attack strategy {self.strategy!r}")
         _require(self.bias_sign in (-1, 1), "bias_sign must be -1 or +1")
         _require(self.period >= 1, "period must be >= 1")
-
-    def probability_at(self, round_index: int) -> float:
-        p = self.p_attack if self.schedule is None else float(self.schedule(round_index))
-        _require(0.0 <= p <= 1.0, f"schedule produced probability {p} outside [0, 1]")
-        return p
 
 
 def _displacement(
@@ -90,7 +80,7 @@ def transmit_detail(
     if cfg is None or sender not in cfg.malicious:
         return true_state, False
     u = rng.next_uniform()
-    if u >= cfg.probability_at(round_index):
+    if u >= cfg.p_attack:
         return true_state, False
     disp = _displacement(cfg, round_index, len(true_state), rng)
     reported = domain.clamp([x + dx for x, dx in zip(true_state, disp)])

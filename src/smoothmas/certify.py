@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 from scipy.special import betaincinv, ndtr, ndtri
 
 from .core import Domain, StreamBranch, _require
-from .policy import AgentPolicy, PolicyInput
-from .smoothing import PolicyFn, sample_policy
+from .policy import PolicyInput
+from .smoothing import PolicyFn, _policy_domain, sample_policy
 
 QUANTILE_CLIP = 1e-10
 
@@ -177,29 +177,25 @@ def certify_decision(
     n: int,
     alpha: float,
     rng: StreamBranch,
-    domain: Domain = None,
 ) -> Certificate:
     """Sample the policy n times under input noise and certify its region.
 
     The leading region R_A is the empirical argmax (ties break toward the
     lower index); pB_upper is the tighter of 1 - pA_lower and the runner-up's
-    own upper bound. The n samples come from one sorted sample_policy batch:
-    a scripted policy is sampled by the compiled kernel when it is active, and
-    the kernel returns the outputs as an ascending column, so counting the
-    regions re-sorts nothing. Samples a policy failed to give are left out of
-    the counts and of n_samples.
+    own upper bound. The partition must cover the policy's domain, which is
+    checked before any sampling. The n samples come from one sorted
+    sample_policy batch: a scripted policy is sampled by the compiled kernel
+    when it is selected, and the kernel returns the outputs as an ascending
+    column, so counting the regions re-sorts nothing. Samples a policy failed
+    to give are left out of the counts and of n_samples.
     """
     _require(policy_input.dimension == 1, "certification works on 1-D decisions")
     _require(n >= 2, f"need n >= 2 samples, got {n}")
     _require(0.0 < alpha < 1.0, f"alpha must be in (0, 1), got {alpha}")
     _require(sigma > 0.0, f"sigma must be > 0, got {sigma}")
-    check_domain = domain
-    if check_domain is None and isinstance(policy, AgentPolicy):
-        check_domain = policy.domain
-    if check_domain is not None:
-        _require(partition.covers(check_domain), "partition does not cover the domain")
+    _require(partition.covers(_policy_domain(policy)), "partition does not cover the domain")
 
-    batch = sample_policy(policy, policy_input, sigma, n, rng, domain, sort=True)
+    batch = sample_policy(policy, policy_input, sigma, n, rng, sort=True)
     counts = partition.counts(batch.columns[0])
     n_eff = batch.requested - batch.failed
 

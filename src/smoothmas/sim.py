@@ -14,8 +14,11 @@ Per round, three phases over the snapshot:
    wire values entirely and re-derive each in-neighbor's report as that
    neighbor's own smoothed decision over the snapshot. A transmitted lie
    cannot survive this because it would have to stay consistent across many
-   independently perturbed queries of the sender's actual decision process.
-   Computed once per sender and shared by its receivers.
+   independently perturbed queries of the sender's actual decision process:
+   an inconsistent source shows up as sample spread and gets trimmed, while
+   a consistently wrong one (e.g. always-on fixed-target hallucination)
+   cannot be corrected and simply is the verified value. Computed once per
+   sender and shared by its receivers.
 3. Decide. Honest agents update via their policy, smoothed when the defense
    says so; malicious agents update with a single raw evaluation on the raw
    wire reports (they do not defend themselves).

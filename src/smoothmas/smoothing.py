@@ -9,12 +9,13 @@ querying; a dead-quiet probe buys none).
 Used at two levels: verifying a neighbor's report by re-deriving it from the
 neighbor's own smoothed decision, and smoothing the agent's own update.
 
-The two-stage algorithm exists only here. The compiled kernel, when it is
-available, serves sampling: `sample_policy` hands batches of a scripted
-policy to it and is the one place that dispatches them. (Stream keys and
-uniform draws, here and elsewhere, reach the kernel's twins through `core`,
-where `_kernels.use_backend` binds them.) On request the kernel also
-sorts its own output into columns, which certificates count regions on.
+A policy is sampled in its own domain (see PolicyFn). The two-stage
+algorithm exists only here. When `_kernels.use_backend` has selected the
+compiled kernel, it serves sampling: `sample_policy` hands every batch of a
+scripted policy to it and is the one place that dispatches them. (Stream
+keys and uniform draws, here and elsewhere, reach the kernel's twins through
+`core`, where `use_backend` binds them.) On request the kernel also sorts its
+own output into columns, which certificates count regions on.
 Variance, budget and trimmed mean run in Python on every backend. The generic
 sampling loop below is the reference and the fallback, and both produce
 bit-identical samples and columns.
@@ -48,6 +49,8 @@ from .policy import (
     _unchecked_input,
 )
 
+# An AgentPolicy, or any callable that carries a `domain`: the box its
+# perturbed inputs are clamped to.
 PolicyFn = Union[AgentPolicy, Callable[[PolicyInput, Stream], StateVec]]
 
 _MODE_CODES = {UNIFORM_RANDOM: 1, FIXED_TARGET: 2, LARGE_JUMP: 3}
@@ -148,7 +151,6 @@ def sample_policy(
     sigma: float,
     m: int,
     rng: StreamBranch,
-    domain: Domain = None,
     start_index: int = 0,
     sort: bool = False,
 ) -> SampleBatch:
@@ -164,15 +166,16 @@ def sample_policy(
     with sort=True as ascending columns, one per component (batch.columns).
     Decisions need the rows: estimate_variance sums in stream order.
 
-    A scripted policy with no explicit domain is sampled by the compiled
-    kernel when it is active, with bit-identical outputs; with sort=True the
-    kernel sorts them as well, stably, so each column equals sorted() of that
-    component element for element.
+    Noisy inputs are clamped to policy.domain; a callable without a domain
+    is rejected. A scripted policy is sampled by the compiled kernel when it
+    is selected, with bit-identical outputs; with sort=True the kernel sorts
+    them as well, stably, so each column equals sorted() of that component
+    element for element.
     """
     _require(m >= 1, "sample count m must be >= 1")
     _require(sigma >= 0.0, "sigma must be >= 0")
     fast = _kernels.fast()
-    if fast is not None and domain is None and _kernel_dispatchable(policy):
+    if fast is not None and _kernel_dispatchable(policy):
         out = fast.sample_outputs(
             _kernel_query(policy, policy_input, sigma),
             m,
@@ -183,9 +186,7 @@ def sample_policy(
         if sort:
             return SampleBatch((), requested=m, failed=0, columns=out)
         return SampleBatch(out, requested=m, failed=0)
-    if domain is None:
-        domain = policy.domain if isinstance(policy, AgentPolicy) else None
-        _require(domain is not None, "sample_policy needs a domain for bare callables")
+    domain = _policy_domain(policy)
     outputs = []
     failed = 0
     errors: list[str] = []
@@ -242,6 +243,13 @@ def adaptive_sample_count(probe_variance: float, cfg: SmoothingConfig) -> int:
     return min(int(math.ceil((cfg.c * probe_variance) / cfg.tau)), cfg.m_max)
 
 
+def _policy_domain(policy: PolicyFn) -> Domain:
+    """The domain a policy is sampled in; a callable without one is rejected."""
+    domain = getattr(policy, "domain", None)
+    _require(isinstance(domain, Domain), "a sampled policy must carry a domain")
+    return domain
+
+
 def _kernel_dispatchable(policy: PolicyFn) -> bool:
     return (
         isinstance(policy, AgentPolicy)
@@ -289,18 +297,15 @@ def smoothed_decision_detail(
     policy_input: PolicyInput,
     cfg: SmoothingConfig,
     rng: StreamBranch,
-    domain: Domain = None,
 ) -> SmoothedDecision:
     """Two-stage smoothed decision with sampling bookkeeping."""
-    probe = sample_policy(policy, policy_input, cfg.sigma, cfg.m1, rng, domain)
+    probe = sample_policy(policy, policy_input, cfg.sigma, cfg.m1, rng)
     variance = estimate_variance(probe)
     m2 = adaptive_sample_count(variance, cfg)
     samples = probe.samples
     failed = probe.failed
     if m2 > 0:
-        extra = sample_policy(
-            policy, policy_input, cfg.sigma, m2, rng, domain, start_index=cfg.m1
-        )
+        extra = sample_policy(policy, policy_input, cfg.sigma, m2, rng, start_index=cfg.m1)
         samples = samples + extra.samples
         failed += extra.failed
     value = trim_mean(samples, cfg.trim_frac)
@@ -318,25 +323,6 @@ def smoothed_decision(
     policy_input: PolicyInput,
     cfg: SmoothingConfig,
     rng: StreamBranch,
-    domain: Domain = None,
 ) -> StateVec:
     """Trimmed mean of the policy over Gaussian input perturbations."""
-    return smoothed_decision_detail(policy, policy_input, cfg, rng, domain).value
-
-
-def verified_neighbor_state(
-    neighbor_policy: PolicyFn,
-    neighbor_input: PolicyInput,
-    cfg: SmoothingConfig,
-    rng: StreamBranch,
-    domain: Domain = None,
-) -> StateVec:
-    """A neighbor's report re-derived from its own smoothed decision.
-
-    Repeated perturbed querying is what makes a one-shot wire value
-    unnecessary: the estimate comes from the neighbor's policy itself, so an
-    inconsistent source shows up as sample spread (and gets trimmed), while a
-    consistently wrong source (e.g. always-on fixed-target hallucination)
-    cannot be corrected and simply is the verified value.
-    """
-    return smoothed_decision(neighbor_policy, neighbor_input, cfg, rng, domain)
+    return smoothed_decision_detail(policy, policy_input, cfg, rng).value

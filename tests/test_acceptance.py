@@ -361,6 +361,8 @@ def test_criterion_10_certification_false_positive_rate(capsys):
         def surrogate(policy_input, rng):
             return (0.25,) if rng.next_uniform() < p_true else (0.75,)
 
+        surrogate.domain = UNIT_DOMAIN
+
         inp = PolicyInput((0.5,), ())
         exceed = 0
         for t in range(trials):
@@ -372,7 +374,6 @@ def test_criterion_10_certification_false_positive_rate(capsys):
                 n=1000,
                 alpha=0.01,
                 rng=spec.branch(t, 0, Purpose.CERTIFY),
-                domain=UNIT_DOMAIN,
             )
             if cert.region == 0 and cert.pA_lower > p_true:
                 exceed += 1

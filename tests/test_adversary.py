@@ -203,26 +203,6 @@ def test_firing_is_deterministic_per_stream():
     assert a == b
 
 
-def test_schedule_overrides_constant_probability():
-    cfg = _cfg(p_attack=0.0, schedule=lambda r: 1.0 if r >= 5 else 0.0)
-    assert cfg.probability_at(0) == 0.0
-    assert cfg.probability_at(5) == 1.0
-    out_early, fired_early = transmit_detail(cfg, 0, (0.5,), 0, _stream(7, 0))
-    out_late, fired_late = transmit_detail(cfg, 0, (0.5,), 5, _stream(7, 5))
-    assert fired_early is False and out_early == (0.5,)
-    assert fired_late is True and out_late[0] == pytest.approx(0.8, abs=1e-12)
-
-
-def test_schedule_out_of_range_is_rejected():
-    cfg = _cfg(schedule=lambda r: 1.5)
-    with pytest.raises(InvalidArgumentError, match="outside"):
-        cfg.probability_at(0)
-
-
-def test_schedule_excluded_from_equality():
-    assert _cfg(schedule=lambda r: 0.5) == _cfg(schedule=None)
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------

@@ -282,10 +282,12 @@ class TestCertifyDecision:
         def flip_flop(policy_input, stream):
             return next(outputs)
 
+        flip_flop.domain = UNIT_DOMAIN
+
         part = uniform_partition(UNIT_DOMAIN, 10)
         cert = certify_decision(
             flip_flop, PolicyInput((0.5,), ()), part, 0.01, 100, 0.05,
-            _branch(9), domain=UNIT_DOMAIN,
+            _branch(9),
         )
         assert cert.region == 0
         assert cert.abstained
@@ -296,10 +298,12 @@ class TestCertifyDecision:
         def mostly_low(policy_input, stream):
             return next(outputs)
 
+        mostly_low.domain = UNIT_DOMAIN
+
         part = uniform_partition(UNIT_DOMAIN, 10)
         cert = certify_decision(
             mostly_low, PolicyInput((0.5,), ()), part, 0.01, 100, 0.01,
-            _branch(3), domain=UNIT_DOMAIN,
+            _branch(3),
         )
         run_up_upper = clopper_pearson_bounds(10, 100, 0.01)[1]
         assert cert.pB_upper == pytest.approx(min(1.0 - cert.pA_lower, run_up_upper))
@@ -312,10 +316,12 @@ class TestCertifyDecision:
                 raise PolicyUnavailableError("backend offline")
             return (0.25,)
 
+        flaky.domain = UNIT_DOMAIN
+
         part = uniform_partition(UNIT_DOMAIN, 10)
         cert = certify_decision(
             flaky, PolicyInput((0.5,), ()), part, 0.01, 10, 0.05,
-            _branch(1), domain=UNIT_DOMAIN,
+            _branch(1),
         )
         assert cert.n_samples == 7
 
@@ -329,10 +335,12 @@ class TestCertifyDecision:
         def on_edges(policy_input, stream):
             return next(outputs)
 
+        on_edges.domain = UNIT_DOMAIN
+
         n, alpha, sigma = 11 * len(pattern), 0.05, 0.1
         cert = certify_decision(
             on_edges, PolicyInput((0.5,), ()), part, sigma, n, alpha,
-            _branch(2), domain=UNIT_DOMAIN,
+            _branch(2),
         )
         counts = [0] * part.k
         for x in pattern * 11:
@@ -363,6 +371,18 @@ class TestCertifyDecision:
         part = uniform_partition(UNIT_DOMAIN, 10)
         with pytest.raises(InvalidArgumentError):
             certify_decision(policy, pin, part, 0.01, 10, 0.05, _branch(0))
+
+    def test_rejects_callable_without_domain_before_sampling(self):
+        calls = []
+
+        def bare(policy_input, stream):
+            calls.append(stream)
+            return (0.5,)
+
+        part = uniform_partition(UNIT_DOMAIN, 10)
+        with pytest.raises(InvalidArgumentError, match="domain"):
+            certify_decision(bare, PolicyInput((0.5,), ()), part, 0.01, 10, 0.05, _branch(0))
+        assert calls == []
 
     def test_deterministic_for_fixed_seed(self):
         policy = AgentPolicy(kind=mean_aggregation(self_weight=0.5))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import needs_fast
 from smoothmas import _kernels, core
 from smoothmas.core import Domain, InvalidArgumentError, Purpose, SeedSpec, UNIT_DOMAIN
 from smoothmas.policy import (
@@ -21,20 +22,6 @@ from smoothmas.policy import (
 )
 from smoothmas.certify import certify_decision, uniform_partition
 from smoothmas.smoothing import SmoothingConfig, sample_policy, smoothed_decision_detail
-
-# With SMOOTHMAS_REQUIRE_FAST=1 these tests run even when the kernel is
-# missing, and then fail instead of skipping.
-needs_fast = pytest.mark.skipif(
-    _kernels._fast is None and os.environ.get("SMOOTHMAS_REQUIRE_FAST") != "1",
-    reason="compiled kernel not available in this build",
-)
-
-
-@pytest.fixture
-def restore_backend():
-    yield
-    _kernels.use_backend("auto")
-
 
 DOM3 = Domain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
@@ -154,20 +141,6 @@ def test_parity_holds_across_seeds_and_branches(restore_backend):
         _kernels.use_backend("pure")
         pure = smoothed_decision_detail(policy, inp, cfg, branch)
         assert fast == pure, f"seed {seed}"
-
-
-@needs_fast
-def test_explicit_domain_bypasses_kernel_with_same_result(restore_backend):
-    # passing the domain explicitly forces the generic path; the answer the
-    # kernel gives for the same derivation path must match it bit for bit
-    policy = AgentPolicy(mean_aggregation(0.5))
-    inp = PolicyInput((0.4,), ((1, (0.6,)),))
-    cfg = SmoothingConfig(sigma=0.05, m1=5, m_max=20, trim_frac=0.1)
-    branch = SeedSpec(9).branch(0, 0, Purpose.VERIFY)
-    _kernels.use_backend("fast")
-    via_kernel = smoothed_decision_detail(policy, inp, cfg, branch)
-    forced_pure = smoothed_decision_detail(policy, inp, cfg, branch, domain=UNIT_DOMAIN)
-    assert via_kernel == forced_pure
 
 
 @needs_fast
@@ -305,19 +278,6 @@ def test_oversized_batch_raises_memory_error(d, sort):
 
 
 @needs_fast
-def test_explicit_domain_bypasses_kernel_for_samples(kernel_spy, restore_backend):
-    policy = AgentPolicy(llm_mimic(0.05), halluc=HallucinationConfig(p_h=0.3))
-    inp = SAMPLE_INPUTS[(1, 2)]
-    branch = SeedSpec(5).branch(0, 1, Purpose.CERTIFY)
-    _kernels.use_backend("fast")
-    forced_pure = sample_policy(policy, inp, 0.1, 30, branch, domain=UNIT_DOMAIN)
-    assert kernel_spy.calls == 0
-    via_kernel = sample_policy(policy, inp, 0.1, 30, branch)
-    assert kernel_spy.calls == 1
-    assert via_kernel == forced_pure
-
-
-@needs_fast
 def test_certificates_on_boundaries_match_across_backends(restore_backend):
     # sigma = 0.6 clamps many samples to exactly 0.0 and 1.0, the partition's
     # end boundaries; both backends must give the same certificate
@@ -431,10 +391,16 @@ def test_fast_backend_selectable_when_built(restore_backend):
 
 
 def test_requesting_missing_fast_backend_raises(restore_backend, monkeypatch):
+    before = (_kernels.active_backend(), _kernels.fast(), core._fold, core._uniform_at)
     monkeypatch.setattr(_kernels, "_fast", None)
     with pytest.raises(RuntimeError, match="not available"):
         _kernels.use_backend("fast")
+    # a refused request leaves the selection as it was
+    assert (_kernels.active_backend(), _kernels.fast(), core._fold, core._uniform_at) == before
+    _kernels.use_backend("auto")
     assert _kernels.active_backend() == "pure"
+    assert _kernels.fast() is None
+    assert (core._fold, core._uniform_at) == (core.fold, core.uniform_at)
 
 
 def _import_kernels(backend, probe):
@@ -460,6 +426,8 @@ def test_backend_variable_is_checked_at_import(backend, hide_kernel, error):
 
 @pytest.mark.parametrize("backend", ["auto", "pure"])
 def test_backend_variable_selects_mode_at_import(backend):
-    proc = _import_kernels(backend, "from smoothmas import _kernels; print(_kernels._mode)")
+    probe = "from smoothmas import _kernels; print(_kernels.active_backend())"
+    proc = _import_kernels(backend, probe)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == backend
+    built = "pure" if _kernels._fast is None else "fast"
+    assert proc.stdout.strip() == (built if backend == "auto" else "pure")

@@ -1,9 +1,9 @@
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 
+from conftest import needs_fast
 from smoothmas.adversary import AttackConfig, CONSTANT_BIAS
 from smoothmas.core import (
     Domain,
@@ -233,37 +233,28 @@ class TestScheduleInvariance:
         assert plain == reversed_order
         assert concurrent == [plain, plain]
 
-    def test_backends_agree(self):
-        # SMOOTHMAS_REQUIRE_FAST=1 turns a missing kernel into a failure
-        if _kernels._fast is None and os.environ.get("SMOOTHMAS_REQUIRE_FAST") != "1":
-            pytest.skip("compiled kernels not built")
+    @needs_fast
+    def test_backends_agree(self, restore_backend):
         cfg = _attacked(5, {1}, rounds=4, defense=DEFENSE, seed=31)
-        try:
-            _kernels.use_backend("pure")
-            pure = run_scenario(cfg)
-            _kernels.use_backend("fast")
-            fast = run_scenario(cfg)
-        finally:
-            _kernels.use_backend("auto")
+        _kernels.use_backend("pure")
+        pure = run_scenario(cfg)
+        _kernels.use_backend("fast")
+        fast = run_scenario(cfg)
         assert pure == fast
 
+    @needs_fast
     @pytest.mark.parametrize("seed", [-5, 2**64 + 3])
-    def test_backends_agree_on_seeds_outside_64_bits(self, seed):
+    def test_backends_agree_on_seeds_outside_64_bits(self, seed, restore_backend):
         # master seeds are any int: the kernel's stream primitives reduce them
         # mod 2^64, as core's do, instead of raising
-        if _kernels._fast is None and os.environ.get("SMOOTHMAS_REQUIRE_FAST") != "1":
-            pytest.skip("compiled kernels not built")
         cfg = replace(
             _attacked(5, {1}, rounds=4, defense=DEFENSE, seed=seed, p_attack=0.5),
             initial_states=None,
         )
-        try:
-            _kernels.use_backend("pure")
-            pure = run_scenario(cfg)
-            _kernels.use_backend("fast")
-            fast = run_scenario(cfg)
-        finally:
-            _kernels.use_backend("auto")
+        _kernels.use_backend("pure")
+        pure = run_scenario(cfg)
+        _kernels.use_backend("fast")
+        fast = run_scenario(cfg)
         assert pure == fast
         assert pure.states[0] != run_scenario(replace(cfg, master_seed=seed + 1)).states[0]
 

@@ -33,7 +33,6 @@ from smoothmas.smoothing import (
     smoothed_decision,
     smoothed_decision_detail,
     trim_mean,
-    verified_neighbor_state,
 )
 
 
@@ -183,9 +182,11 @@ def test_bare_callable_requires_domain():
 
 
 def test_bare_callable_with_domain_is_sampled_unclamped():
-    batch = sample_policy(
-        lambda inp, rng: (10.0,), _inp(), 0.1, 4, _branch(), domain=UNIT_DOMAIN
-    )
+    def policy(inp, rng):
+        return (10.0,)
+
+    policy.domain = UNIT_DOMAIN
+    batch = sample_policy(policy, _inp(), 0.1, 4, _branch())
     assert set(batch.samples) == {(10.0,)}
 
 
@@ -205,6 +206,8 @@ class _FlakyPolicy:
     """Fails with PolicyUnavailableError on chosen call indices; call k
     otherwise returns 1 / (k + 1)."""
 
+    domain = UNIT_DOMAIN
+
     def __init__(self, fail_on):
         self.fail_on = set(fail_on)
         self.calls = 0
@@ -219,7 +222,7 @@ class _FlakyPolicy:
 
 def test_survivable_failures_are_recorded():
     policy = _FlakyPolicy(fail_on={1, 3})
-    batch = sample_policy(policy, _inp(), 0.0, 5, _branch(), domain=UNIT_DOMAIN)
+    batch = sample_policy(policy, _inp(), 0.0, 5, _branch())
     assert batch.failed == 2
     assert batch.requested == 5
     assert len(batch.samples) == 3
@@ -227,7 +230,7 @@ def test_survivable_failures_are_recorded():
 
 def test_sorted_batch_holds_only_usable_samples():
     policy = _FlakyPolicy(fail_on={1, 3})
-    batch = sample_policy(policy, _inp(), 0.0, 5, _branch(), domain=UNIT_DOMAIN, sort=True)
+    batch = sample_policy(policy, _inp(), 0.0, 5, _branch(), sort=True)
     assert batch.samples == ()
     assert batch.columns == ((1.0 / 5, 1.0 / 3, 1.0),)
     assert batch.requested - batch.failed == len(batch.columns[0])
@@ -237,24 +240,22 @@ def test_sorted_columns_are_the_sorted_rows():
     values = [(0.3, 0.1), (0.1, 0.2), (0.2, 0.1), (0.1, 0.0)]
     domain = Domain((0.0, 0.0), (1.0, 1.0))
     inp = PolicyInput((0.5, 0.5), ())
-    batch = sample_policy(_SequencePolicy(values), inp, 0.0, 4, _branch(), domain, sort=True)
+    batch = sample_policy(_SequencePolicy(values, domain), inp, 0.0, 4, _branch(), sort=True)
     assert batch.columns == ((0.1, 0.1, 0.2, 0.3), (0.0, 0.1, 0.1, 0.2))
 
 
 def test_half_survivors_is_the_cliff():
     # 2 of 4 survive: exactly max(2, m/2), so the batch is kept
-    batch = sample_policy(
-        _FlakyPolicy({0, 2}), _inp(), 0.0, 4, _branch(), domain=UNIT_DOMAIN
-    )
+    batch = sample_policy(_FlakyPolicy({0, 2}), _inp(), 0.0, 4, _branch())
     assert len(batch.samples) == 2
     # 2 of 5 survive: below max(2, 2.5), so the batch is abandoned
     with pytest.raises(SamplingFailedError, match="2 of 5"):
-        sample_policy(_FlakyPolicy({0, 2, 4}), _inp(), 0.0, 5, _branch(), domain=UNIT_DOMAIN)
+        sample_policy(_FlakyPolicy({0, 2, 4}), _inp(), 0.0, 5, _branch())
 
 
 def test_single_failed_sample_aborts():
     with pytest.raises(SamplingFailedError):
-        sample_policy(_FlakyPolicy({0}), _inp(), 0.0, 1, _branch(), domain=UNIT_DOMAIN)
+        sample_policy(_FlakyPolicy({0}), _inp(), 0.0, 1, _branch())
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +264,13 @@ def test_single_failed_sample_aborts():
 
 
 def _batch(*values):
-    return sample_policy(
-        _SequencePolicy(values), _inp(), 0.0, len(values), _branch(), domain=UNIT_DOMAIN
-    )
+    return sample_policy(_SequencePolicy(values), _inp(), 0.0, len(values), _branch())
 
 
 class _SequencePolicy:
-    def __init__(self, values):
+    def __init__(self, values, domain=UNIT_DOMAIN):
         self.values = [(v,) if isinstance(v, float) else tuple(v) for v in values]
+        self.domain = domain
         self.calls = 0
 
     def __call__(self, policy_input, rng):
@@ -309,12 +309,11 @@ def test_variance_three_values():
 
 def test_variance_sums_over_components():
     batch = sample_policy(
-        _SequencePolicy([(0.0, 0.0), (1.0, 1.0)]),
+        _SequencePolicy([(0.0, 0.0), (1.0, 1.0)], Domain((0.0, 0.0), (1.0, 1.0))),
         PolicyInput((0.5, 0.5), ()),
         0.0,
         2,
         _branch(),
-        domain=Domain((0.0, 0.0), (1.0, 1.0)),
     )
     assert estimate_variance(batch) == pytest.approx(0.5)
 
@@ -399,9 +398,7 @@ def test_planted_outlier_is_trimmed_away():
     values += [0.5] * 20
     policy = _SequencePolicy(values)
     cfg = SmoothingConfig(sigma=0.0, m1=10, c=10.0, tau=0.01, m_max=20, trim_frac=0.1)
-    detail = smoothed_decision_detail(
-        policy, _inp(), cfg, _branch(7), domain=UNIT_DOMAIN
-    )
+    detail = smoothed_decision_detail(policy, _inp(), cfg, _branch(7))
     assert detail.extra_samples == 20  # variance blew past the cap
     assert detail.queries == 30
     assert detail.value == (0.5,)  # outlier gone despite being in the probe
@@ -423,21 +420,22 @@ def test_smoothing_shrinks_response_noise():
 
 
 # ---------------------------------------------------------------------------
-# Verified neighbor reports
+# Verified neighbor reports: a neighbor's report re-derived as its own
+# smoothed decision (sim's verify phase)
 # ---------------------------------------------------------------------------
 
 
 def test_verification_of_quiet_policy_reproduces_it():
     cfg = SmoothingConfig(sigma=0.0, m1=5)
     policy = AgentPolicy(mean_aggregation(0.5))
-    assert verified_neighbor_state(policy, _inp(), cfg, _branch(8)) == (0.5,)
+    assert smoothed_decision(policy, _inp(), cfg, _branch(8)) == (0.5,)
 
 
 def test_always_on_fixed_target_cannot_be_filtered():
     halluc = HallucinationConfig(p_h=1.0, mode="fixed-target", target=(0.0,))
     policy = AgentPolicy(mean_aggregation(0.5), halluc=halluc)
     cfg = SmoothingConfig(sigma=0.05, m1=10, m_max=20, trim_frac=0.2)
-    assert verified_neighbor_state(policy, _inp(), cfg, _branch(9)) == (0.0,)
+    assert smoothed_decision(policy, _inp(), cfg, _branch(9)) == (0.0,)
 
 
 def test_verification_filters_intermittent_jumps():
@@ -450,7 +448,7 @@ def test_verification_filters_intermittent_jumps():
     for t in range(200):
         raw = policy(_inp(), SeedSpec(t).stream(0, 1, Purpose.TRANSMIT, 0))
         raw_err.append(abs(raw[0] - clean))
-        ver = verified_neighbor_state(policy, _inp(), cfg, _branch(t, agent=1))
+        ver = smoothed_decision(policy, _inp(), cfg, _branch(t, agent=1))
         ver_err.append(abs(ver[0] - clean))
     assert statistics.fmean(ver_err) < 0.5 * statistics.fmean(raw_err)
 
