@@ -75,10 +75,17 @@ def transmit_detail(
     rng: Stream,
     domain: Domain = UNIT_DOMAIN,
 ) -> tuple[StateVec, bool]:
-    """What lands on one edge this round, plus whether manipulation fired."""
-    true_state = as_state(true_state)
+    """What lands on one edge this round, plus whether manipulation fired.
+
+    An honest sender's report, and every report when no attack is
+    configured, is its state forwarded as given: the same object, unchecked,
+    with no draws from rng. States are validated where they enter the
+    simulation, not on every edge. A malicious sender's state is checked
+    before it is displaced.
+    """
     if cfg is None or sender not in cfg.malicious:
         return true_state, False
+    true_state = as_state(true_state)
     u = rng.next_uniform()
     if u >= cfg.p_attack:
         return true_state, False

@@ -9,7 +9,8 @@ Per round, three phases over the snapshot:
 
 1. Transmit. Each directed edge carries the sender's report, manipulated by
    the attack layer when the sender is malicious (one Bernoulli draw per
-   edge).
+   edge). An honest sender's report is its snapshot state, forwarded as
+   given with no draws; snapshot states were validated where they entered.
 2. Verify (defense with verify_neighbors). Honest receivers discard one-shot
    wire values entirely and re-derive each in-neighbor's report as that
    neighbor's own smoothed decision over the snapshot. A transmitted lie
@@ -21,7 +22,9 @@ Per round, three phases over the snapshot:
    sender and shared by its receivers.
 3. Decide. Honest agents update via their policy, smoothed when the defense
    says so; malicious agents update with a single raw evaluation on the raw
-   wire reports (they do not defend themselves).
+   wire reports (they do not defend themselves). Each agent's input is
+   built once, from the wire only when the agent reads it (malicious, no
+   defense, or verification off) and otherwise from the verified reports.
 """
 
 from __future__ import annotations
@@ -182,15 +185,17 @@ def step_detail(
     # phase 1: every edge's wire report, one stream per (round, sender, edge)
     reports: dict[tuple[int, int], StateVec] = {}
     fired = [False] * n
+    attack, domain = cfg.attack, cfg.domain
     for sender in range(n):
-        branch = seed.branch(round_index, sender, Purpose.TRANSMIT)
+        state = snapshot[sender]
+        edge_stream = seed.branch(round_index, sender, Purpose.TRANSMIT).stream
         for receiver in topology.receivers(sender):
             value, did_fire = transmit_detail(
-                cfg.attack, sender, snapshot[sender], round_index,
-                branch.stream(receiver), cfg.domain,
+                attack, sender, state, round_index, edge_stream(receiver), domain
             )
             reports[(receiver, sender)] = value
-            fired[sender] = fired[sender] or did_fire
+            if did_fire:
+                fired[sender] = True
 
     # phase 2: re-derive reports of every sender some honest agent listens to
     verified: dict[int, StateVec] = {}
@@ -223,22 +228,19 @@ def step_detail(
     # phase 3: decisions, all from the snapshot
     def decide(i: int) -> tuple[StateVec, int]:
         nbrs = topology.neighbors(i)
-        wire = tuple((j, reports[(i, j)]) for j in nbrs)
+        if i in malicious or defense is None or not defense.verify_neighbors:
+            heard = tuple((j, reports[(i, j)]) for j in nbrs)
+        else:
+            heard = tuple((j, verified[j]) for j in nbrs)
+        pin = _unchecked_input(snapshot[i], heard)
         branch = seed.branch(round_index, i, Purpose.DECIDE)
         if i in malicious or defense is None:
-            pin = _unchecked_input(snapshot[i], wire)
             try:
                 return cfg.policies[i](pin, branch.stream(0)), 1
             except PolicyUnavailableError as exc:
                 raise PolicyUnavailableError(
                     f"round {round_index}, agent {i}: {exc}"
                 ) from exc
-        inputs = (
-            tuple((j, verified[j]) for j in nbrs)
-            if defense.verify_neighbors
-            else wire
-        )
-        pin = _unchecked_input(snapshot[i], inputs)
         try:
             if defense.smooth_decisions:
                 detail = smoothed_decision_detail(

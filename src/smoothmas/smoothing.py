@@ -19,13 +19,22 @@ own output into columns, which certificates count regions on.
 Variance, budget and trimmed mean run in Python on every backend. The generic
 sampling loop below is the reference and the fallback, and both produce
 bit-identical samples and columns.
+
+Inputs are validated where they enter. `sample_policy` checks its arguments
+and every output of a bare callable; an AgentPolicy's outputs are clamped to
+its domain and the kernel's rows have its dimension, so neither is checked
+again. A smoothed decision then aggregates through the unchecked cores of
+`estimate_variance`, `adaptive_sample_count` and `trim_mean`, which those
+public functions call after validating: one implementation, one summation
+order. The constant part of a scripted policy's kernel query is derived once
+per AgentPolicy and kept on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from . import _kernels
 from .core import (
@@ -37,6 +46,7 @@ from .core import (
     Stream,
     StreamBranch,
     _require,
+    as_state,
 )
 from .policy import (
     AgentPolicy,
@@ -112,11 +122,24 @@ def trim_mean(samples: list[StateVec] | tuple[StateVec, ...], trim_frac: float) 
     n = len(samples)
     g = int(trim_frac * n)
     _require(n - 2 * g >= 1, f"trimming {g} per tail leaves no samples out of {n}")
+    _require_one_dimension(samples)
+    return _trimmed_mean(samples, trim_frac)
+
+
+def _require_one_dimension(samples: list[StateVec] | tuple[StateVec, ...]) -> None:
     d = len(samples[0])
     for s in samples:
         _require(len(s) == d, "samples must share one dimension")
+
+
+def _trimmed_mean(samples: list[StateVec] | tuple[StateVec, ...], trim_frac: float) -> StateVec:
+    """trim_mean without its checks: at least one sample, all of one
+    dimension, and a trim_frac that leaves one untrimmed (any trim_frac
+    below 0.5 does)."""
+    n = len(samples)
+    g = int(trim_frac * n)
     out = []
-    for c in range(d):
+    for c in range(len(samples[0])):
         column = sorted(s[c] for s in samples)
         acc = 0.0
         for v in column[g : n - g]:
@@ -167,17 +190,21 @@ def sample_policy(
     Decisions need the rows: estimate_variance sums in stream order.
 
     Noisy inputs are clamped to policy.domain; a callable without a domain
-    is rejected. A scripted policy is sampled by the compiled kernel when it
-    is selected, with bit-identical outputs; with sort=True the kernel sorts
-    them as well, stably, so each column equals sorted() of that component
-    element for element.
+    is rejected. Each output of a callable that is not an AgentPolicy must
+    be a finite vector of the domain's dimension (it is not clamped), and is
+    kept as a tuple of floats; an AgentPolicy's outputs are clamped to its
+    domain already. A scripted policy is sampled by the compiled kernel when
+    it is selected, with bit-identical outputs; with sort=True the kernel
+    sorts them as well, stably, so each column equals sorted() of that
+    component element for element.
     """
     _require(m >= 1, "sample count m must be >= 1")
     _require(sigma >= 0.0, "sigma must be >= 0")
     fast = _kernels.fast()
-    if fast is not None and _kernel_dispatchable(policy):
+    constants = None if fast is None else _kernel_constants(policy)
+    if constants is not None:
         out = fast.sample_outputs(
-            _kernel_query(policy, policy_input, sigma),
+            _kernel_query(constants, policy_input, sigma),
             m,
             start_index & MASK64,
             rng.prefix & MASK64,
@@ -187,6 +214,7 @@ def sample_policy(
             return SampleBatch((), requested=m, failed=0, columns=out)
         return SampleBatch(out, requested=m, failed=0)
     domain = _policy_domain(policy)
+    bare = not isinstance(policy, AgentPolicy)
     outputs = []
     failed = 0
     errors: list[str] = []
@@ -194,11 +222,13 @@ def sample_policy(
         stream = rng.stream(start_index + k)
         perturbed = _perturbed_input(policy_input, sigma, domain, stream)
         try:
-            outputs.append(policy(perturbed, stream))
+            out = policy(perturbed, stream)
         except PolicyUnavailableError as exc:
             failed += 1
             if len(errors) < 3:
                 errors.append(str(exc))
+        else:
+            outputs.append(_checked_output(out, domain.dimension, start_index + k) if bare else out)
     if failed and len(outputs) < max(2.0, m / 2.0):
         raise SamplingFailedError(
             f"only {len(outputs)} of {m} samples usable ({failed} failed): {errors}"
@@ -209,6 +239,19 @@ def sample_policy(
     return SampleBatch(tuple(outputs), requested=m, failed=failed)
 
 
+def _checked_output(out: object, d: int, index: int) -> StateVec:
+    """A bare callable's output where it enters: a finite vector of dimension d."""
+    try:
+        vec = as_state(out)
+    except (TypeError, ValueError):
+        vec = ()
+    _require(
+        len(vec) == d,
+        f"sample {index}: policy output must be a finite vector of dimension {d}, got {out!r}",
+    )
+    return vec
+
+
 def estimate_variance(batch: SampleBatch) -> float:
     """Mean squared L2 distance of samples to their mean (biased, 1/m).
 
@@ -216,6 +259,13 @@ def estimate_variance(batch: SampleBatch) -> float:
     copies of x need not be x."""
     samples = batch.samples
     _require(len(samples) >= 1, "variance probe needs at least one sample")
+    _require_one_dimension(samples)
+    return _variance(samples)
+
+
+def _variance(samples: tuple[StateVec, ...]) -> float:
+    """estimate_variance without its checks: at least one sample, all of one
+    dimension."""
     m = len(samples)
     if samples.count(samples[0]) == m:
         return 0.0
@@ -238,6 +288,11 @@ def adaptive_sample_count(probe_variance: float, cfg: SmoothingConfig) -> int:
     """Extra samples bought by the probe variance: min(ceil(c*V/tau), m_max),
     and exactly zero when the probe shows no variation at all."""
     _require(probe_variance >= 0.0, "variance must be >= 0")
+    return _extra_count(probe_variance, cfg)
+
+
+def _extra_count(probe_variance: float, cfg: SmoothingConfig) -> int:
+    """adaptive_sample_count of a variance known to be >= 0, without its check."""
     if probe_variance == 0.0:
         return 0
     return min(int(math.ceil((cfg.c * probe_variance) / cfg.tau)), cfg.m_max)
@@ -250,46 +305,59 @@ def _policy_domain(policy: PolicyFn) -> Domain:
     return domain
 
 
-def _kernel_dispatchable(policy: PolicyFn) -> bool:
-    return (
-        isinstance(policy, AgentPolicy)
-        and policy.kind.tag != EXTERNAL_LLM
-        and (policy.halluc is None or policy.halluc.mode in _MODE_CODES)
-    )
+_UNDERIVED = object()
 
 
-def _kernel_query(policy: AgentPolicy, policy_input: PolicyInput, sigma: float) -> tuple:
-    """The kernel's query tuple: the input, the policy's scalars, its domain
-    and the noise scale, in the order the kernel's read_query parses them."""
-    halluc = policy.halluc
-    p_h = 0.0 if halluc is None else halluc.p_h
-    mode = 0 if (halluc is None or p_h == 0.0) else _MODE_CODES[halluc.mode]
-    magnitude = 0.0 if halluc is None else halluc.magnitude
-    domain = policy.domain
-    d = policy_input.dimension
-    _require(domain.dimension == d, "vector dimension does not match domain")
-    target = (0.0,) * d
-    if halluc is not None and halluc.target is not None:
-        target = halluc.target
-    nbrs_flat: list[float] = []
-    for _, vec in policy_input.neighbor_states:
-        nbrs_flat.extend(vec)
-    return (
-        policy_input.own_state,
-        nbrs_flat,
-        len(policy_input.neighbor_states),
-        d,
-        policy.kind.self_weight,
-        1 if policy.kind.tag == LLM_MIMIC else 0,
-        policy.kind.jitter_sd,
-        p_h,
-        mode,
-        magnitude,
-        target,
-        domain.low,
-        domain.high,
-        sigma,
-    )
+def _kernel_constants(policy: PolicyFn) -> Optional[tuple]:
+    """The part of a policy's kernel query that no input changes: the domain's
+    dimension, the policy's scalars, its hallucination mode, magnitude and
+    target, and the domain bounds. None when the kernel cannot sample the
+    policy: a bare callable, or an external-llm policy, which needs its
+    gateway.
+
+    Derived once per AgentPolicy and kept on it as `_kernel_constants`,
+    outside the dataclass fields like Topology's neighbor lists, so equality,
+    hashing and repr ignore it and dataclasses.replace derives it afresh.
+    """
+    constants = getattr(policy, "_kernel_constants", _UNDERIVED)
+    if constants is not _UNDERIVED:
+        return constants
+    if not isinstance(policy, AgentPolicy):
+        return None
+    kind, halluc, domain = policy.kind, policy.halluc, policy.domain
+    if kind.tag == EXTERNAL_LLM:
+        constants = None
+    else:
+        p_h = 0.0 if halluc is None else halluc.p_h
+        target = (0.0,) * domain.dimension
+        if halluc is not None and halluc.target is not None:
+            target = halluc.target
+        constants = (
+            domain.dimension,
+            kind.self_weight,
+            1 if kind.tag == LLM_MIMIC else 0,
+            kind.jitter_sd,
+            p_h,
+            0 if p_h == 0.0 else _MODE_CODES[halluc.mode],
+            0.0 if halluc is None else halluc.magnitude,
+            target,
+            domain.low,
+            domain.high,
+        )
+    object.__setattr__(policy, "_kernel_constants", constants)
+    return constants
+
+
+def _kernel_query(constants: tuple, policy_input: PolicyInput, sigma: float) -> tuple:
+    """The kernel's query tuple, in the order its read_query parses it: the
+    input, the policy's constants (see _kernel_constants) and the noise
+    scale."""
+    _require(policy_input.dimension == constants[0], "vector dimension does not match domain")
+    nbrs = policy_input.neighbor_states
+    flat: list[float] = []
+    for _, vec in nbrs:
+        flat.extend(vec)
+    return (policy_input.own_state, flat, len(nbrs), *constants, sigma)
 
 
 def smoothed_decision_detail(
@@ -298,19 +366,22 @@ def smoothed_decision_detail(
     cfg: SmoothingConfig,
     rng: StreamBranch,
 ) -> SmoothedDecision:
-    """Two-stage smoothed decision with sampling bookkeeping."""
+    """Two-stage smoothed decision with sampling bookkeeping.
+
+    One sample_policy batch for the probe and one more when it buys extra
+    samples. The batches are checked where they are drawn and cfg when it
+    was built, so aggregation skips the public functions' checks."""
     probe = sample_policy(policy, policy_input, cfg.sigma, cfg.m1, rng)
-    variance = estimate_variance(probe)
-    m2 = adaptive_sample_count(variance, cfg)
     samples = probe.samples
+    variance = _variance(samples)
+    m2 = _extra_count(variance, cfg)
     failed = probe.failed
     if m2 > 0:
         extra = sample_policy(policy, policy_input, cfg.sigma, m2, rng, start_index=cfg.m1)
         samples = samples + extra.samples
         failed += extra.failed
-    value = trim_mean(samples, cfg.trim_frac)
     return SmoothedDecision(
-        value=value,
+        value=_trimmed_mean(samples, cfg.trim_frac),
         probe_variance=variance,
         extra_samples=m2,
         queries=cfg.m1 + m2,

@@ -64,6 +64,22 @@ def test_honest_sender_consumes_no_draws():
     assert stream.cursor == 0
 
 
+@pytest.mark.parametrize("cfg", [None, _cfg(malicious=frozenset({3}))], ids=["no-attack", "honest"])
+def test_honest_report_is_forwarded_as_given(cfg):
+    state = (0.5,)
+    stream = _stream()
+    out, fired = transmit_detail(cfg, 0, state, 0, stream)
+    assert out is state
+    assert fired is False
+    assert stream.cursor == 0
+
+
+@pytest.mark.parametrize("state", [(math.nan,), (math.inf,), ()])
+def test_malicious_sender_state_is_checked(state):
+    with pytest.raises(InvalidArgumentError):
+        transmit_detail(_cfg(), 0, state, 0, _stream())
+
+
 def test_zero_probability_never_fires():
     cfg = _cfg(p_attack=0.0)
     for t in range(200):

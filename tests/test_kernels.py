@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import needs_fast
-from smoothmas import _kernels, core
+from smoothmas import _kernels, core, smoothing
 from smoothmas.core import Domain, InvalidArgumentError, Purpose, SeedSpec, UNIT_DOMAIN
 from smoothmas.policy import (
     AgentPolicy,
@@ -124,6 +125,61 @@ def test_decisions_sample_through_the_kernel(kernel_spy, restore_backend):
     assert kernel_spy.calls == 3
     # decisions take their rows in stream order: estimate_variance sums in it
     assert kernel_spy.sorts == [False] * 3
+
+
+def test_pure_decisions_sample_once_per_stage(monkeypatch, restore_backend):
+    # the same per-stage batch shape as on the kernel: one probe batch, one
+    # more when the probe buys extra samples
+    calls = []
+    sample = smoothing.sample_policy
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("start_index", 0))
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(smoothing, "sample_policy", counted)
+    _kernels.use_backend("pure")
+    branch = SeedSpec(2024).branch(3, 1, Purpose.VERIFY)
+    bought = set()
+    for i, (policy, inp, cfg) in enumerate(_cases()):
+        calls.clear()
+        detail = smoothed_decision_detail(policy, inp, cfg, branch)
+        bought.add(detail.extra_samples > 0)
+        assert calls == [0, cfg.m1][: 1 + (detail.extra_samples > 0)], i
+    assert bought == {False, True}
+
+
+@needs_fast
+def test_derived_kernel_constants_stay_out_of_identity(restore_backend):
+    def make():
+        return AgentPolicy(llm_mimic(0.05), halluc=HallucinationConfig(p_h=0.2))
+
+    sampled, fresh = make(), make()
+    _kernels.use_backend("fast")
+    sample_policy(sampled, SAMPLE_INPUTS[(1, 2)], 0.05, 5, SeedSpec(3).branch(0, 0, Purpose.DECIDE))
+    assert "_kernel_constants" in vars(sampled)
+    assert "_kernel_constants" not in vars(fresh)
+    assert sampled == fresh
+    assert hash(sampled) == hash(fresh)
+    assert repr(sampled) == repr(fresh)
+
+
+@needs_fast
+def test_replaced_policy_derives_fresh_kernel_constants(restore_backend):
+    inp = SAMPLE_INPUTS[(1, 2)]
+    branch = SeedSpec(8).branch(1, 2, Purpose.DECIDE)
+    policy = AgentPolicy(mean_aggregation(0.5))
+    _kernels.use_backend("fast")
+    before = sample_policy(policy, inp, 0.05, 20, branch)
+    replaced = dataclasses.replace(
+        policy, halluc=HallucinationConfig(p_h=1.0, mode="fixed-target", target=(0.9,))
+    )
+    fast = sample_policy(replaced, inp, 0.05, 20, branch)
+    _kernels.use_backend("pure")
+    pure = sample_policy(replaced, inp, 0.05, 20, branch)
+    assert fast == pure
+    assert set(fast.samples) == {(0.9,)}
+    assert fast != before
 
 
 @needs_fast

@@ -16,6 +16,7 @@ from smoothmas.core import (
     SamplingFailedError,
     SeedSpec,
     UNIT_DOMAIN,
+    box_domain,
 )
 from smoothmas.policy import (
     AgentPolicy,
@@ -26,6 +27,7 @@ from smoothmas.policy import (
     mean_aggregation,
 )
 from smoothmas.smoothing import (
+    SampleBatch,
     SmoothingConfig,
     adaptive_sample_count,
     estimate_variance,
@@ -190,6 +192,37 @@ def test_bare_callable_with_domain_is_sampled_unclamped():
     assert set(batch.samples) == {(10.0,)}
 
 
+@pytest.mark.parametrize(
+    "values,index",
+    [
+        ([(0.5, 0.5), (0.5,)], 1),
+        ([(0.5, 0.5), (0.5, 0.5, 0.5)], 1),
+        ([(float("nan"), 0.5)], 0),
+        ([(0.5, 0.5), (0.5, float("inf"))], 1),
+        ([(0.5, 0.5), 0.5], 1),
+    ],
+)
+def test_bare_callable_outputs_are_checked_where_they_enter(values, index):
+    values = list(values)
+
+    def policy(inp, rng):
+        return values.pop(0)
+
+    policy.domain = Domain((0.0, 0.0), (1.0, 1.0))
+    with pytest.raises(InvalidArgumentError, match=f"sample {index}: .*dimension 2"):
+        sample_policy(policy, PolicyInput((0.5, 0.5), ()), 0.0, 2, _branch())
+
+
+def test_bare_callable_outputs_become_float_tuples():
+    def policy(inp, rng):
+        return [1]
+
+    policy.domain = UNIT_DOMAIN
+    batch = sample_policy(policy, _inp(), 0.1, 2, _branch())
+    assert [type(s) for s in batch.samples] == [tuple, tuple]
+    assert [type(s[0]) for s in batch.samples] == [float, float]
+
+
 def test_sample_count_must_be_positive():
     policy = AgentPolicy(mean_aggregation())
     with pytest.raises(InvalidArgumentError):
@@ -264,7 +297,11 @@ def test_single_failed_sample_aborts():
 
 
 def _batch(*values):
-    return sample_policy(_SequencePolicy(values), _inp(), 0.0, len(values), _branch())
+    # a bare callable's outputs must have its domain's dimension
+    policy = _SequencePolicy(values)
+    d = len(policy.values[0])
+    policy.domain = box_domain((1.0,) * d)
+    return sample_policy(policy, PolicyInput((0.5,) * d, ()), 0.0, len(values), _branch())
 
 
 class _SequencePolicy:
@@ -297,6 +334,12 @@ def test_quiet_probe_of_inexact_value_buys_nothing():
         _branch(),
     )
     assert (detail.probe_variance, detail.extra_samples, detail.queries) == (0.0, 0, 3)
+
+
+def test_variance_rejects_mixed_dimensions():
+    batch = SampleBatch(((0.5, 0.5), (0.5,)), requested=2, failed=0)
+    with pytest.raises(InvalidArgumentError, match="one dimension"):
+        estimate_variance(batch)
 
 
 def test_variance_of_two_point_spread():
